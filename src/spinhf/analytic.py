@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from . import model, special, su2
 from .model import DriveParams, TWO_PI
@@ -23,7 +24,6 @@ from .special import DEFAULT_QUADRATURE, CumulativeIntegral, QuadratureSpec, int
 from .su2 import PauliOperator, Spinor, Vec3
 
 RESONANCE_EPS = 1e-9
-_EIGENSTATE_TOL = 1e-12
 
 
 class MethodId(Enum):
@@ -165,10 +165,6 @@ def lambda_op(t1: float, p: DriveParams) -> PauliOperator:
 # ---------------------------------------------------------------------------
 # gamma integrals (cached; they dominate the constant-evaluation cost)
 
-_gamma_lock = threading.Lock()
-_gamma_cache: dict[float, tuple[float, float]] = {}
-
-
 def _compute_gamma_pair(r: float, spec: QuadratureSpec) -> tuple[float, float]:
     j0 = special.bessel_j0(r)
     h0 = special.struve_h0(r)
@@ -200,20 +196,17 @@ def _compute_gamma_pair(r: float, spec: QuadratureSpec) -> tuple[float, float]:
     return g1, g2
 
 
+@functools.lru_cache(maxsize=None)
+def _default_gamma_pair(r: float) -> tuple[float, float]:
+    return _compute_gamma_pair(r, DEFAULT_QUADRATURE)
+
+
 def _gamma_pair(r: float, spec: Optional[QuadratureSpec] = None) -> tuple[float, float]:
     if r < 0.0:
         raise ValueError(f"gamma functions are defined for r >= 0, got {r!r}")
     if spec is not None and spec != DEFAULT_QUADRATURE:
         return _compute_gamma_pair(r, spec)
-    key = float(r)
-    with _gamma_lock:
-        hit = _gamma_cache.get(key)
-    if hit is not None:
-        return hit
-    pair = _compute_gamma_pair(key, DEFAULT_QUADRATURE)
-    with _gamma_lock:
-        # first write wins so concurrent misses agree
-        return _gamma_cache.setdefault(key, pair)
+    return _default_gamma_pair(float(r))
 
 
 def gamma1(r: float, spec: Optional[QuadratureSpec] = None) -> float:
@@ -389,14 +382,19 @@ def effective_quantities(p: DriveParams) -> EffectiveQuantities:
 
 @functools.lru_cache(maxsize=64)
 def _slow_generator(method: MethodId, p: DriveParams) -> PauliOperator:
-    # Cached: trace evaluation calls this once per sample point and the
-    # correction pipeline behind it is far more expensive than the lookup.
+    """Rotating-frame slow generator of a method: the one place that knows
+    the method ladder. Propagators, traces and amplitudes all derive from
+    it. Cached because the correction pipeline behind it costs far more
+    than the lookup and propagator() is evaluated per time point."""
     if method is MethodId.EXACT_R0:
         if p.r != 0.0:
             raise ValueError("the exact propagator is only defined for r = 0")
         return h0_op(p)
     if method is MethodId.AVERAGING:
-        return h_eff(p)
+        # averaging destroys the resonance: on the degenerate branch the
+        # averaged generator vanishes (h_eff is zero there up to the
+        # RESONANCE_EPS drift of r and omega_par)
+        return su2.ZERO_OP if is_resonant_branch(p) else h_eff(p)
     if method is MethodId.MULTI_SCALE:
         return ms_hamiltonian(p)
     raise ValueError(f"unknown method {method!r}")
@@ -432,67 +430,37 @@ def slow_initial_state(p: DriveParams, init: Spinor) -> Spinor:
     return (g0.adjoint() @ su2.pauli_exponential(s_mean, p.epsilon) @ g0).apply(init)
 
 
-def _eigenstate_sign(init: Spinor) -> Optional[int]:
-    w = abs(init.up) ** 2
-    if w >= 1.0 - _EIGENSTATE_TOL:
-        return 1
-    if w <= _EIGENSTATE_TOL:
-        return -1
-    return None
-
-
-def expect_sz_closed(method: MethodId, t: float, p: DriveParams, init: Spinor) -> float:
+def expect_sz_closed(
+    method: MethodId, t: float | np.ndarray, p: DriveParams, init: Spinor
+) -> float | np.ndarray:
     """sigma_z expectation under the chosen analytic solution.
 
-    sigma_z eigenstates use the closed cosine forms; any other state
-    goes through the propagator. The two paths agree to 1e-12.
+    ``t`` is a float (a float is returned) or an array of times (an
+    array of the same shape is returned). The lab-frame gauge factor is
+    a sigma_z rotation and drops out, so the trace is the z component of
+    the Bloch vector b of G0 init rotated about the unit axis n of the
+    slow generator v.sigma by the angle 2|v|t:
+    z(t) = n_z (n.b) + (b_z - n_z (n.b)) cos(2|v|t) + (n x b)_z sin(2|v|t),
+    and the constant b_z where v = 0. It agrees with the propagator
+    route to rounding.
     """
-    sign = _eigenstate_sign(init)
-    if sign is None:
-        psi = propagator(method, t, p).apply(init)
-        return su2.expect_sz(psi)
-    if method is MethodId.EXACT_R0:
-        if p.r != 0.0:
-            raise ValueError("the exact propagator is only defined for r = 0")
-        w = omega0(p)
-        if w == 0.0:
-            return float(sign)
-        amp = (p.omega_perp / w) ** 2
-        return sign * (1.0 + amp * (math.cos(w * t) - 1.0))
-    if method is MethodId.AVERAGING:
-        if is_resonant_branch(p):
-            return float(sign)
-        w = omega_eff(p)
-        if w == 0.0:
-            return float(sign)
-        amp = (p.omega_perp * special.bessel_j0(p.r) / w) ** 2
-        return sign * (1.0 + amp * (math.cos(w * t) - 1.0))
-    if method is MethodId.MULTI_SCALE:
-        if is_resonant_branch(p):
-            return sign * math.cos(omega_ms(p) * t)
-        w_eff = omega_eff(p)
-        if w_eff == 0.0:
-            return float(sign)
-        amp = (p.omega_perp * special.bessel_j0(p.r) / w_eff) ** 2
-        return sign * (1.0 + amp * (math.cos(omega_ms(p) * t) - 1.0))
-    raise ValueError(f"unknown method {method!r}")
+    v = _slow_generator(method, p).real_vector()
+    b = model.initial_gauge_factor(p).apply(init).bloch()
+    w = v.norm()
+    if w == 0.0:
+        z = np.full(np.shape(t), b.z)
+    else:
+        n = v * (1.0 / w)
+        nb = n.dot(b)
+        ang = (2.0 * w) * np.asarray(t, dtype=float)
+        z = n.z * nb + (b.z - n.z * nb) * np.cos(ang) + n.cross(b).z * np.sin(ang)
+    return float(z) if np.ndim(z) == 0 else z
 
 
 def amplitude_closed(method: MethodId, p: DriveParams) -> float:
-    """Half peak-to-peak excursion of the closed trace from a sigma_z eigenstate."""
-    if method is MethodId.EXACT_R0:
-        if p.r != 0.0:
-            raise ValueError("the exact amplitude is only defined for r = 0")
-        w = omega0(p)
-        return (p.omega_perp / w) ** 2 if w != 0.0 else 0.0
-    if method is MethodId.AVERAGING:
-        if is_resonant_branch(p):
-            return 0.0
-        w = omega_eff(p)
-        return (p.omega_perp * special.bessel_j0(p.r) / w) ** 2 if w != 0.0 else 0.0
-    if method is MethodId.MULTI_SCALE:
-        if is_resonant_branch(p):
-            return 1.0
-        w = omega_eff(p)
-        return (p.omega_perp * special.bessel_j0(p.r) / w) ** 2 if w != 0.0 else 0.0
-    raise ValueError(f"unknown method {method!r}")
+    """Half peak-to-peak excursion of the closed trace from a sigma_z
+    eigenstate: the transverse weight (v_x^2 + v_y^2) / |v|^2 of the slow
+    generator, 0 where it vanishes."""
+    v = _slow_generator(method, p).real_vector()
+    w2 = v.dot(v)
+    return (v.x * v.x + v.y * v.y) / w2 if w2 != 0.0 else 0.0

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -290,13 +291,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # evolve
 
-def _closed_trace(method: str, p: DriveParams, init: Spinor, times: np.ndarray) -> np.ndarray:
-    mid = analytic.MethodId(method)
-    return np.array(
-        [analytic.expect_sz_closed(mid, float(t), p, init) for t in times]
-    )
-
-
 def _evolve_columns(s: dict, p: DriveParams, init: Spinor, methods: list[str]):
     """Shared time grid plus one value column per method.
 
@@ -354,7 +348,7 @@ def _evolve_columns(s: dict, p: DriveParams, init: Spinor, methods: list[str]):
     for name in methods:
         if name == "numeric":
             continue
-        columns[name] = _closed_trace(name, p, init, grid)
+        columns[name] = analytic.expect_sz_closed(analytic.MethodId(name), grid, p, init)
 
     ordered = {}
     for name in _METHOD_ORDER:
@@ -545,7 +539,9 @@ def _add_shared_flags(sp: argparse.ArgumentParser, with_evolution: bool = True):
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not mutate it)."""
     ap = argparse.ArgumentParser(
         prog="spinhf",
         description="Two-level spin dynamics under a fast circular drive: "

@@ -253,9 +253,12 @@ def integrate_schrodinger(
     Samples are recorded at exact multiples of sample_dt (default: a
     thirty-second of the HF period). Returns the series and the final
     state. The state is projected back onto the unit sphere after every
-    accepted step; deviations beyond 1e-10 are accumulated into the
-    series' norm_drift diagnostic (a nonzero value signals the error
-    control is not holding).
+    accepted step. The series' norm_drift diagnostic is the sum of the
+    per-step norm deviations |norm - 1| above 1e-10, taken before each
+    projection. It grows with the horizon and with tol: at the default
+    tol = 1e-8 it is nonzero in normal operation (3.6e-6 at
+    omega_perp = 3, omega_par = -1, r = 1, phi_hf = pi/2, Omega_HF = 50,
+    t_end = 100), while at tol = 1e-10 it stays 0.0 there.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be > 0, got {t_end!r}")
@@ -369,7 +372,7 @@ def sample_closed(
 ) -> TimeSeries:
     """Closed-form <sigma_z> trace on the given time grid."""
     ts = np.asarray(times, dtype=float)
-    vals = np.array([analytic.expect_sz_closed(method, float(t), p, init) for t in ts])
+    vals = analytic.expect_sz_closed(method, ts, p, init)
     return TimeSeries(times=ts, values=vals, method=method.value, params=p)
 
 

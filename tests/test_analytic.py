@@ -522,18 +522,35 @@ def test_averaging_vs_ms_trace_stays_within_detuning_bound():
 # --- closed traces -------------------------------------------------------------
 
 def test_eigenstate_trace_matches_propagator_route():
+    # one array call per case against the per-time propagator route,
+    # off the branch, on it (r = r1, omega_par = -1) and at r = 0
     cases = [
         (MethodId.EXACT_R0, params(r=0.0, omega_par=0.4)),
+        (MethodId.AVERAGING, params(r=0.0, omega_par=0.4)),
+        (MethodId.MULTI_SCALE, params(r=0.0, omega_par=0.4)),
         (MethodId.AVERAGING, params(omega_par=0.3)),
         (MethodId.MULTI_SCALE, params(omega_par=0.3)),
+        (MethodId.AVERAGING, params(r=R1)),
         (MethodId.MULTI_SCALE, params(r=R1)),
+        (MethodId.MULTI_SCALE, params(r=R1, phi_hf=0.0)),
     ]
+    inits = (
+        Spinor.plus(),
+        Spinor.minus(),
+        Spinor.superposition(math.sqrt(0.5), 0.0),
+        Spinor.superposition(0.6, 0.3),
+    )
+    ts = np.concatenate([[0.0, 0.8, 7.3, 20.0], np.linspace(100.0, 1500.0, 57)])
     for method, p in cases:
-        for init in (Spinor.plus(), Spinor.minus()):
-            for t in (0.0, 0.8, 7.3, 20.0):
-                closed = expect_sz_closed(method, t, p, init)
-                via_u = expect_sz(propagator(method, t, p).apply(init))
-                assert abs(closed - via_u) < 1e-12
+        for init in inits:
+            closed = expect_sz_closed(method, ts, p, init)
+            assert isinstance(closed, np.ndarray) and closed.shape == ts.shape
+            via_u = [expect_sz(propagator(method, float(t), p).apply(init)) for t in ts]
+            assert np.max(np.abs(closed - via_u)) < 1e-12, (method, p, init)
+    single = expect_sz_closed(MethodId.MULTI_SCALE, 7.3, params(omega_par=0.3), inits[3])
+    assert type(single) is float
+    with pytest.raises(ValueError):
+        expect_sz_closed(MethodId.EXACT_R0, ts, params(), Spinor.plus())
 
 
 def test_exact_trace_closed_form():
