@@ -1,8 +1,9 @@
 """Spin-1/2 dynamics under a gyrating field with a fast longitudinal drive.
 
 Closed-form propagators (bare, period-averaged, and slow-time corrected),
-special-function support, a direct Schrodinger integrator, and figure-data
-tooling. All frequencies are ratios to the gyration frequency.
+special-function support, a stroboscopic Floquet engine and a direct
+Schrodinger integrator for the exact dynamics, and figure-data tooling.
+All frequencies are ratios to the gyration frequency.
 """
 
 __version__ = "0.1.0"
@@ -42,6 +43,7 @@ from .numeric import (
     SweepPointError,
     SweepResult,
     TimeSeries,
+    evolve_floquet,
     extract_amplitude,
     hf_average,
     integrate_schrodinger,
@@ -77,7 +79,7 @@ __all__ = [
     "omega0", "omega_eff", "omega_ms", "h_eff", "ms_hamiltonian",
     "gamma1", "gamma2", "gamma1_at_zero", "eta",
     "propagator", "expect_sz_closed", "amplitude_closed", "slow_initial_state",
-    "TimeSeries", "SweepResult", "integrate_schrodinger", "hf_average",
+    "TimeSeries", "SweepResult", "evolve_floquet", "integrate_schrodinger", "hf_average",
     "extract_amplitude", "resonance_sweep",
     "IntegratorFailureError", "StiffnessError", "InsufficientSpanError",
     "SweepPointError",

@@ -313,7 +313,7 @@ def _evolve_columns(s: dict, p: DriveParams, init: Spinor, methods: list[str]):
     columns: dict[str, np.ndarray] = {}
 
     if "numeric" in methods:
-        series, _ = numeric.integrate_schrodinger(
+        series, _ = numeric.evolve_floquet(
             p, init, t_end, sample_dt=sample_dt, tol=float(s["tol"])
         )
         if hf_avg:
@@ -417,12 +417,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"bad grid spec {graw!r}")
     grid = np.linspace(lo, hi, npts)
     t_end = float(parse_scalar(s["t_end"])) if s["t_end"] is not None else None
-    jobs = s["jobs"]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    # --jobs and the jobs config key are accepted for compatibility; the
+    # sweep runs in this process
     result = numeric.resonance_sweep(
-        p, grid, methods, tol=float(s["tol"]), jobs=int(jobs),
-        t_end=t_end, on_error="collect",
+        p, grid, methods, tol=float(s["tol"]), t_end=t_end, on_error="collect",
     )
     for w, name, msg in result.failures:
         sys.stderr.write(f"sweep point omega_par={w:.6g} [{name}] failed: {msg}\n")
@@ -539,10 +537,24 @@ def _add_shared_flags(sp: argparse.ArgumentParser, with_evolution: bool = True):
         )
 
 
+_NEGATIVE_NUMBER_RE = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in exponent notation,
+    such as --omega-par -2e-05, as a value; the stock pattern of Python
+    3.11 only knows -N and -N.N, so it took -2e-05 for an option flag.
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER_RE
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing does not mutate it)."""
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="spinhf",
         description="Two-level spin dynamics under a fast circular drive: "
         "closed-form and numeric traces, resonance sweeps, constant tables.",
@@ -570,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", nargs=3, metavar=("MIN", "MAX", "POINTS"),
         help="omega_par grid (MIN and MAX accept pi/rN tokens)",
     )
-    sp.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    sp.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser(

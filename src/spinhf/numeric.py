@@ -1,24 +1,28 @@
-"""Ground-truth engine: direct integration of the Schrodinger equation,
+"""Ground-truth engines: numerical solution of the Schrodinger equation,
 high-frequency averaging, amplitude extraction and resonance sweeps.
 
-The integrator is an embedded adaptive Runge-Kutta 5(4) pair on the
-two complex state amplitudes, stepped in the lab frame by default (the
-rotating frame is available as a cross-check). Step size is error
-controlled and additionally capped at a twentieth of the HF period so
-the fast drive is never aliased.
+Two independent engines solve the exact dynamics. `evolve_floquet` is
+the fast one behind the CLI and the sweeps: in the rotating frame the
+Hamiltonian is periodic with the HF period T, so one period's propagator,
+built from fourth-order Magnus steps and raised to the n-th power in
+closed form, gives the state at any time (stroboscopic Floquet evolution).
+`integrate_schrodinger` is the oracle: an embedded adaptive Runge-Kutta
+5(4) pair on the two complex state amplitudes, stepped in the lab frame
+by default (the rotating frame is available as a cross-check). Its step
+size is error controlled and additionally capped at a twentieth of the
+HF period so the fast drive is never aliased.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import analytic
-from .model import TWO_PI, DriveParams
+from .model import TWO_PI, DriveParams, gauge_factor, initial_gauge_factor
 from .su2 import Spinor
 
 VALUE_SLACK = 1e-9
@@ -33,7 +37,8 @@ class IntegratorFailureError(RuntimeError):
 
 
 class StiffnessError(RuntimeError):
-    """Step size underflowed; the problem is stiffer than this pair handles."""
+    """The step size underflowed (RK) or the substep count reached its cap
+    (Floquet); the problem is stiffer than the engine handles."""
 
 
 class InsufficientSpanError(ValueError):
@@ -364,6 +369,185 @@ def integrate_schrodinger(
     return series, final
 
 
+# ---------------------------------------------------------------------------
+# Stroboscopic Floquet-Magnus engine
+#
+# An SU(2) element w - i (x, y, z).sigma is stored as the four real arrays
+# (w, x, y, z); closed-form exponentials and products keep it unitary.
+
+_MAGNUS_SUBSTEPS = 64  # substeps per period at the first refinement level
+_MAGNUS_MAX_SUBSTEPS = 1 << 17  # refinement cap; beyond it StiffnessError
+_CHUNK = 1 << 15  # samples evaluated per numpy pass (bounds peak memory)
+_GL_OFFSET = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at 1/2 -+ this
+
+
+def _magnus_steps(p: DriveParams, t0: np.ndarray, h) -> tuple:
+    """One fourth-order Magnus step of the rotating-frame dynamics over
+    [t0, t0 + h] for each entry (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+    151 (2009)).
+
+    The field is the Pauli vector a(t) of model.hamiltonian_transformed at
+    the fast variable Omega_HF t; its z component is constant. With a1, a2
+    at the two Gauss-Legendre nodes the step is exp(-i g.sigma),
+    g = (h/2)(a1 + a2) + (sqrt(3)/6) h^2 (a2 x a1).
+    """
+    half_perp = -0.5 * p.omega_perp
+    az = -0.5 * (1.0 + p.omega_par)
+    th1 = p.r * np.sin(p.Omega_HF * (t0 + (0.5 - _GL_OFFSET) * h) + p.phi_hf)
+    th2 = p.r * np.sin(p.Omega_HF * (t0 + (0.5 + _GL_OFFSET) * h) + p.phi_hf)
+    x1, y1 = half_perp * np.cos(th1), half_perp * np.sin(th1)
+    x2, y2 = half_perp * np.cos(th2), half_perp * np.sin(th2)
+    k = _GL_OFFSET * h * h  # sqrt(3)/6 h^2
+    gx = 0.5 * h * (x1 + x2) + (k * az) * (y2 - y1)
+    gy = 0.5 * h * (y1 + y2) + (k * az) * (x1 - x2)
+    gz = az * h + k * (x2 * y1 - y2 * x1)
+    ang = np.sqrt(gx * gx + gy * gy + gz * gz)
+    s = np.sinc(ang / math.pi)  # sin(ang) / ang, 1 at ang = 0
+    return np.cos(ang), s * gx, s * gy, s * gz
+
+
+def _su2_mul(a, b) -> tuple:
+    """Product a b of SU(2) elements given as (w, x, y, z)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + bw * ax + ay * bz - az * by,
+        aw * by + bw * ay + az * bx - ax * bz,
+        aw * bz + bw * az + ax * by - ay * bx,
+    )
+
+
+def _su2_apply(q, psi) -> tuple:
+    """Apply (w, x, y, z) to states given as (Re up, Im up, Re down, Im down)."""
+    w, x, y, z = q
+    ur, ui, dr, di = psi
+    return (
+        w * ur + z * ui + x * di - y * dr,
+        w * ui - z * ur - x * dr - y * di,
+        w * dr - z * di + x * ui + y * ur,
+        w * di + z * dr + y * ui - x * ur,
+    )
+
+
+def _propagator_table(p: DriveParams, span: float, n_sub: int) -> np.ndarray:
+    """Rows (w, x, y, z) of F_i = U(i h) for i = 0..n_sub, h = span / n_sub.
+
+    A Hillis-Steele prefix scan multiplies the Magnus steps, later steps
+    on the left.
+    """
+    h = span / n_sub
+    table = np.empty((4, n_sub + 1))
+    table[:, 0] = (1.0, 0.0, 0.0, 0.0)
+    table[:, 1:] = _magnus_steps(p, np.arange(n_sub) * h, h)
+    scan = table[:, 1:]
+    d = 1
+    while d < n_sub:
+        scan[:, d:] = _su2_mul(scan[:, d:], scan[:, :-d])
+        d *= 2
+    return table
+
+
+def _converged_table(p: DriveParams, span: float, tol: float) -> np.ndarray:
+    """The propagator table at the first substep count N (doubling from
+    _MAGNUS_SUBSTEPS) where U(span) moved by at most tol * span from N / 2."""
+    n_sub = _MAGNUS_SUBSTEPS
+    table = _propagator_table(p, span, n_sub)
+    while True:
+        n_sub *= 2
+        if n_sub > _MAGNUS_MAX_SUBSTEPS:
+            raise StiffnessError(
+                f"Floquet propagator not converged to tol {tol:.3g} within "
+                f"{_MAGNUS_MAX_SUBSTEPS} substeps per period"
+            )
+        finer = _propagator_table(p, span, n_sub)
+        change = float(np.max(np.abs(finer[:, -1] - table[:, -1])))
+        table = finer
+        if change <= tol * span:
+            return table
+
+
+def _rotating_states(p: DriveParams, table: np.ndarray, span: float, psi0, t: np.ndarray):
+    """Rotating-frame states U(t) psi0 at times t, as four real arrays.
+
+    With t = n span + s and i = floor(s / h): U(t) = M(s - i h; i h) F_i
+    U(span)^n, where M is one partial Magnus step and
+    U^n = cos(n beta) - i sin(n beta) u.sigma.
+    """
+    n_sub = table.shape[1] - 1
+    h = span / n_sub
+    w, x, y, z = table[:, -1]
+    vnorm = math.sqrt(x * x + y * y + z * z)
+    beta = math.atan2(vnorm, w)
+    n = np.floor(t / span)
+    s = t - n * span
+    i = np.clip(np.floor(s / h), 0.0, n_sub - 1.0)
+    ang = n * beta
+    sin_n = np.sin(ang) / vnorm if vnorm > 0.0 else np.zeros_like(ang)
+    psi = _su2_apply((np.cos(ang), sin_n * x, sin_n * y, sin_n * z), psi0)
+    psi = _su2_apply(table[:, i.astype(np.intp)], psi)
+    return _su2_apply(_magnus_steps(p, i * h, s - i * h), psi)
+
+
+def evolve_floquet(
+    p: DriveParams,
+    init: Spinor,
+    t_end: float,
+    sample_dt: Optional[float] = None,
+    tol: float = 1e-8,
+) -> tuple[TimeSeries, Spinor]:
+    """Solve i dpsi/dt = H(t) psi from t = 0 and sample <sigma_z>, stroboscopically.
+
+    Same sample grid (exact multiples of sample_dt up to t_end; default a
+    thirty-second of the HF period, which it need not divide), return
+    values and validation as integrate_schrodinger, without its frame
+    option. In the rotating frame (model.hamiltonian_transformed) the
+    Hamiltonian has period T = 2 pi / Omega_HF, and <sigma_z> is the same
+    in both frames. One period is split into N fourth-order Magnus
+    substeps; N doubles from 64 until U(T) moves by at most tol * T, and
+    StiffnessError is raised past 2^17. When t_end < T the table spans
+    [0, t_end] instead of one period. Samples are evaluated in chunks of
+    fixed size, so beyond the output arrays memory does not grow with the
+    horizon. The final state
+    is the lab-frame state at t_end. norm_drift is 0.0: every propagator
+    is an exact SU(2) product, so there is no norm to restore.
+    """
+    if not t_end > 0.0:
+        raise ValueError(f"t_end must be > 0, got {t_end!r}")
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
+    if sample_dt is None:
+        sample_dt = default_sample_dt(p)
+    if not sample_dt > 0.0:
+        raise ValueError(f"sample_dt must be > 0, got {sample_dt!r}")
+
+    span = min(TWO_PI / p.Omega_HF, t_end)
+    table = _converged_table(p, span, tol)
+    start = initial_gauge_factor(p).apply(init)
+    psi0 = (start.up.real, start.up.imag, start.down.real, start.down.imag)
+
+    # t_end / sample_dt rounds either way; keep exactly the k with
+    # k * sample_dt <= t_end, the grid integrate_schrodinger samples
+    last = math.floor(t_end / sample_dt)
+    while (last + 1) * sample_dt <= t_end:
+        last += 1
+    while last * sample_dt > t_end:
+        last -= 1
+    times = np.arange(last + 1) * sample_dt
+    # the samples, then t_end for the final state
+    grid = np.append(times, t_end)
+    values = np.empty_like(grid)
+    for lo in range(0, grid.size, _CHUNK):
+        ur, ui, dr, di = _rotating_states(p, table, span, psi0, grid[lo : lo + _CHUNK])
+        values[lo : lo + _CHUNK] = (ur * ur + ui * ui) - (dr * dr + di * di)
+
+    up, down = complex(ur[-1], ui[-1]), complex(dr[-1], di[-1])
+    norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
+    final = gauge_factor(t_end, p).apply(Spinor(up / norm, down / norm))
+    series = TimeSeries(times=times, values=values[:-1], method="numeric[floquet]", params=p)
+    return series, final
+
+
 def sample_closed(
     method: analytic.MethodId,
     p: DriveParams,
@@ -438,16 +622,6 @@ def extract_amplitude(series: TimeSeries, p: DriveParams) -> float:
     return 0.5 * (float(series.values.max()) - float(series.values.min()))
 
 
-def _numeric_amplitude(p: DriveParams, t_end: float, tol: float) -> float:
-    series, _ = integrate_schrodinger(p, Spinor.plus(), t_end, tol=tol)
-    return extract_amplitude(hf_average(series, p), p)
-
-
-def _sweep_point(args) -> float:
-    p, t_end, tol = args
-    return _numeric_amplitude(p, t_end, tol)
-
-
 def resonance_sweep(
     p_template: DriveParams,
     omega_par_grid: Sequence[float],
@@ -459,11 +633,12 @@ def resonance_sweep(
 ) -> SweepResult:
     """Amplitude-versus-omega_par curves.
 
-    Closed-form methods evaluate pointwise; "numeric" integrates each
-    grid point from |+> over an auto-chosen horizon of 1.5 slow periods
-    (with a frequency floor so off-resonance points stay cheap) and can
-    fan out over worker processes. on_error = "raise" aborts on the
-    first failing point; "collect" records NaN and continues.
+    Closed-form methods evaluate pointwise; "numeric" evolves each grid
+    point from |+> with evolve_floquet over an auto-chosen horizon of 1.5
+    slow periods (with a frequency floor so off-resonance points stay
+    cheap), in this process. jobs is accepted for compatibility and has
+    no effect. on_error = "raise" aborts on the first failing point;
+    "collect" records NaN and continues.
     """
     grid = [float(w) for w in omega_par_grid]
     if not grid:
@@ -493,51 +668,29 @@ def resonance_sweep(
             raise SweepPointError(w, exc) from exc
         failures.append((w, name, str(exc)))
 
+    def amplitude(name: str, p: DriveParams) -> float:
+        if name != "numeric":
+            return analytic.amplitude_closed(analytic.MethodId(name), p)
+        horizon = t_end if t_end is not None else (
+            1.5 * TWO_PI / max(abs(analytic.omega_ms(p)), OMEGA_FLOOR)
+        )
+        series, _ = evolve_floquet(p, Spinor.plus(), horizon, tol=tol)
+        return extract_amplitude(hf_average(series, p), p)
+
     columns: dict[str, list[float]] = {}
-    for name in methods:
-        if name == "numeric":
-            continue
-        method = analytic.MethodId(name)
+    # closed forms first, so their failures are reported before numeric ones
+    for name in sorted(methods, key=lambda m: m == "numeric"):
         col = []
         for p, w in zip(points, grid):
             try:
-                col.append(analytic.amplitude_closed(method, p))
+                col.append(amplitude(name, p))
             except Exception as exc:
                 fail(w, name, exc)
                 col.append(math.nan)
         columns[name] = col
 
-    if "numeric" in methods:
-        tasks: list = []
-        for p, w in zip(points, grid):
-            try:
-                horizon = t_end if t_end is not None else (
-                    1.5 * TWO_PI / max(abs(analytic.omega_ms(p)), OMEGA_FLOOR)
-                )
-                tasks.append((p, horizon, tol))
-            except Exception as exc:
-                fail(w, "numeric", exc)
-                tasks.append(None)
-        col = [math.nan] * len(tasks)
-        live = [i for i, t in enumerate(tasks) if t is not None]
-        if jobs is not None and jobs > 1 and len(live) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futs = {i: pool.submit(_sweep_point, tasks[i]) for i in live}
-                for i, fut in futs.items():
-                    try:
-                        col[i] = float(fut.result())
-                    except Exception as exc:
-                        fail(grid[i], "numeric", exc)
-        else:
-            for i in live:
-                try:
-                    col[i] = float(_sweep_point(tasks[i]))
-                except Exception as exc:
-                    fail(grid[i], "numeric", exc)
-        columns["numeric"] = col
-
-    ordered = {name: columns[name] for name in methods if name in columns}
     return SweepResult(
-        omega_par_grid=np.array(grid), amplitudes={k: np.array(v) for k, v in ordered.items()},
+        omega_par_grid=np.array(grid),
+        amplitudes={name: np.array(columns[name]) for name in methods},
         params=p_template, failures=tuple(failures),
     )

@@ -645,8 +645,8 @@ def test_kicked_state_removes_first_order_error_of_ms_trace():
             series, _ = integrate_schrodinger(p, init, 20.0)
             avg = hf_average(series, p)
             for start, gaps in ((init, bare), (slow_initial_state(p, init), kicked)):
-                ms = [expect_sz_closed(MethodId.MULTI_SCALE, float(t), p, start) for t in avg.times]
-                gaps.append(float(np.max(np.abs(avg.values - np.array(ms)))))
+                ms = expect_sz_closed(MethodId.MULTI_SCALE, avg.times, p, start)
+                gaps.append(float(np.max(np.abs(avg.values - ms))))
         for k in range(2):
             assert 1.8 < bare[k] / bare[k + 1] < 2.2, (wpar, bare)
             assert kicked[k] / kicked[k + 1] > 3.5, (wpar, kicked)

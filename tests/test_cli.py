@@ -177,6 +177,14 @@ def test_evolve_short_averaging_window_is_usage_error(capsys):
     assert "shorter" in capsys.readouterr().err
 
 
+def test_negative_value_in_exponent_notation_is_not_a_flag(capsys):
+    code = main([
+        "evolve", "--omega-par", "-2.07e-05", "--t-end", "0.1", "--methods", "avg",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("t,avg\n")
+
+
 def test_evolve_deterministic_bytes(tmp_path):
     args = [
         "evolve", "--omega-par", "-1", "--r", "r1", "--t-end", "3",

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from spinhf import cli, numeric, special
 from spinhf.analytic import MethodId, amplitude_closed, omega_eff, omega_ms
 from spinhf.model import TWO_PI, DriveParams, initial_gauge_factor
 from spinhf.numeric import (
     InsufficientSpanError,
+    StiffnessError,
     SweepPointError,
     SweepResult,
     TimeSeries,
     default_sample_dt,
+    evolve_floquet,
     extract_amplitude,
     hf_average,
     integrate_schrodinger,
@@ -21,6 +24,8 @@ from spinhf.numeric import (
 )
 from spinhf.su2 import Spinor
 
+R1 = special.bessel_j0_zero(1)
+
 
 def params(**kw):
     base = dict(omega_perp=3.0, omega_par=-1.0, Omega_HF=50.0, r=1.0, phi_hf=math.pi / 2)
@@ -28,46 +33,76 @@ def params(**kw):
     return DriveParams(**base)
 
 
+# Both engines solve the exact dynamics: lab-frame RK (the oracle) and the
+# stroboscopic Floquet-Magnus engine. The engine tests loop over both.
+ENGINES = (integrate_schrodinger, evolve_floquet)
+
+
 # --- integrator accuracy ------------------------------------------------------
 
 def test_matches_exact_solution_without_hf_drive():
-    for wpar in (0.0, -1.0):
-        p = params(omega_par=wpar, r=0.0)
-        series, final = integrate_schrodinger(p, Spinor.plus(), 20.0, tol=1e-10)
-        ref = sample_closed(MethodId.EXACT_R0, p, Spinor.plus(), series.times)
-        dev = np.max(np.abs(series.values - ref.values))
-        assert dev < 1e-8
-        assert abs(abs(final.up) ** 2 + abs(final.down) ** 2 - 1.0) < 1e-12
+    for engine in ENGINES:
+        for wpar in (0.0, -1.0):
+            p = params(omega_par=wpar, r=0.0)
+            series, final = engine(p, Spinor.plus(), 20.0, tol=1e-10)
+            ref = sample_closed(MethodId.EXACT_R0, p, Spinor.plus(), series.times)
+            dev = np.max(np.abs(series.values - ref.values))
+            assert dev < 1e-8, engine.__name__
+            assert abs(abs(final.up) ** 2 + abs(final.down) ** 2 - 1.0) < 1e-12, engine.__name__
 
 
 def test_sz_conserved_without_transverse_field():
     p = params(omega_perp=0.0, omega_par=0.3, r=0.5)
-    series, _ = integrate_schrodinger(p, Spinor.plus(), 10.0)
-    assert np.max(np.abs(series.values - 1.0)) < 1e-12
-    init = Spinor.superposition(0.6, 0.4)
-    series, _ = integrate_schrodinger(p, init, 10.0)
-    assert np.max(np.abs(series.values - (-0.28))) < 1e-12
+    for engine in ENGINES:
+        series, _ = engine(p, Spinor.plus(), 10.0)
+        assert np.max(np.abs(series.values - 1.0)) < 1e-12, engine.__name__
+        init = Spinor.superposition(0.6, 0.4)
+        series, _ = engine(p, init, 10.0)
+        assert np.max(np.abs(series.values - (-0.28))) < 1e-12, engine.__name__
+
+
+_SUPERPOSED = Spinor.superposition(0.6, 0.3)
+_FRAME_CASES = {  # name: (DriveParams overrides, initial state, run options)
+    "branch": (dict(r=R1), Spinor.plus(), {}),
+    "phase": (dict(omega_par=0.3, phi_hf=0.9), Spinor.plus(), {}),
+    "r=8.65": (dict(r=8.65), _SUPERPOSED, {}),
+    "Omega_HF=10": (dict(Omega_HF=10.0), _SUPERPOSED, {}),
+    "sample_dt=0.01": (dict(omega_par=0.3), _SUPERPOSED, dict(sample_dt=0.01)),  # not T/k
+    "t_end=0.05": (dict(omega_par=0.3), _SUPERPOSED, dict(t_end=0.05)),  # shorter than T
+}
 
 
 def test_lab_and_transformed_frames_agree():
-    p = params(omega_par=0.3, phi_hf=0.9)
-    init = Spinor.plus()
-    lab, _ = integrate_schrodinger(p, init, 15.0, tol=1e-10)
-    rotated = initial_gauge_factor(p).apply(init)
-    trans, _ = integrate_schrodinger(p, rotated, 15.0, tol=1e-10, frame="transformed")
-    assert np.array_equal(lab.times, trans.times)
-    assert np.max(np.abs(lab.values - trans.values)) < 1e-8
+    # three routes: lab RK, rotating-frame RK, and the Floquet engine
+    for case, (kw, init, run) in _FRAME_CASES.items():
+        p = params(**kw)
+        t_end = run.get("t_end", 15.0)
+        sample_dt = run.get("sample_dt")
+        lab, lab_final = integrate_schrodinger(p, init, t_end, sample_dt=sample_dt, tol=1e-10)
+        rotated = initial_gauge_factor(p).apply(init)
+        trans, _ = integrate_schrodinger(
+            p, rotated, t_end, sample_dt=sample_dt, tol=1e-10, frame="transformed"
+        )
+        assert np.array_equal(lab.times, trans.times), case
+        assert np.max(np.abs(lab.values - trans.values)) < 1e-8, case
+        floq, floq_final = evolve_floquet(p, init, t_end, sample_dt=sample_dt, tol=1e-10)
+        assert np.array_equal(lab.times, floq.times), case
+        assert np.max(np.abs(lab.values - floq.values)) < 1e-8, case
+        assert abs(floq_final.up - lab_final.up) < 1e-8, case
+        assert abs(floq_final.down - lab_final.down) < 1e-8, case
+        assert floq.norm_drift == 0.0, case
 
 
 def test_tightening_tolerance_never_hurts():
     p = params(omega_par=0.4, r=0.0)
-    devs = []
-    for tol in (1e-6, 1e-8, 1e-10):
-        series, _ = integrate_schrodinger(p, Spinor.plus(), 20.0, tol=tol)
-        ref = sample_closed(MethodId.EXACT_R0, p, Spinor.plus(), series.times)
-        devs.append(np.max(np.abs(series.values - ref.values)))
-    assert devs[1] <= devs[0] + 1e-15
-    assert devs[2] <= devs[1] + 1e-15
+    for engine in ENGINES:
+        devs = []
+        for tol in (1e-6, 1e-8, 1e-10):
+            series, _ = engine(p, Spinor.plus(), 20.0, tol=tol)
+            ref = sample_closed(MethodId.EXACT_R0, p, Spinor.plus(), series.times)
+            devs.append(np.max(np.abs(series.values - ref.values)))
+        assert devs[1] <= devs[0] + 1e-15, engine.__name__
+        assert devs[2] <= devs[1] + 1e-15, engine.__name__
 
 
 def test_norm_drift_budget_over_long_run():
@@ -79,25 +114,54 @@ def test_norm_drift_budget_over_long_run():
 
 def test_integrate_validation():
     p = params()
-    with pytest.raises(ValueError):
-        integrate_schrodinger(p, Spinor.plus(), 0.0)
-    with pytest.raises(ValueError):
-        integrate_schrodinger(p, Spinor.plus(), 1.0, tol=1e-3)
-    with pytest.raises(ValueError):
-        integrate_schrodinger(p, Spinor.plus(), 1.0, tol=1e-13)
+    for engine in ENGINES:
+        with pytest.raises(ValueError):
+            engine(p, Spinor.plus(), 0.0)
+        with pytest.raises(ValueError):
+            engine(p, Spinor.plus(), 1.0, tol=1e-3)
+        with pytest.raises(ValueError):
+            engine(p, Spinor.plus(), 1.0, tol=1e-13)
+        with pytest.raises(ValueError):
+            engine(p, Spinor.plus(), 1.0, sample_dt=-0.1)
     with pytest.raises(ValueError):
         integrate_schrodinger(p, Spinor.plus(), 1.0, frame="interaction")
-    with pytest.raises(ValueError):
-        integrate_schrodinger(p, Spinor.plus(), 1.0, sample_dt=-0.1)
 
 
 def test_sampling_grid_is_exact_multiples():
     p = params()
     dt = default_sample_dt(p)
-    series, _ = integrate_schrodinger(p, Spinor.plus(), 10 * dt)
-    assert len(series) == 11
-    assert series.times[-1] == 10 * dt
-    assert np.array_equal(series.times, np.arange(11) * dt)
+    for engine in ENGINES:
+        series, _ = engine(p, Spinor.plus(), 10 * dt)
+        assert len(series) == 11, engine.__name__
+        assert series.times[-1] == 10 * dt, engine.__name__
+        assert np.array_equal(series.times, np.arange(11) * dt), engine.__name__
+        # t_end / sample_dt rounds below 29 here, and to 35 just below 35 * 0.01
+        series, _ = engine(p, Spinor.plus(), 29 * 0.01, sample_dt=0.01)
+        assert np.array_equal(series.times, np.arange(30) * 0.01), engine.__name__
+        series, _ = engine(p, Spinor.plus(), math.nextafter(35 * 0.01, 0.0), sample_dt=0.01)
+        assert np.array_equal(series.times, np.arange(35) * 0.01), engine.__name__
+
+
+def test_floquet_period_propagator_converges_at_fourth_order():
+    # each doubling of the Magnus substeps cuts the change of U(T) about 16x
+    p = params(r=R1)
+    period = TWO_PI / p.Omega_HF
+    ends = [numeric._propagator_table(p, period, n)[:, -1] for n in (32, 64, 128, 256)]
+    changes = [float(np.max(np.abs(b - a))) for a, b in zip(ends, ends[1:])]
+    for coarse, fine in zip(changes, changes[1:]):
+        assert 12.0 < coarse / fine < 20.0, changes
+
+
+def test_floquet_substep_cap_raises_stiffness_error(monkeypatch, capsys):
+    # tol = 1e-12 needs more than 128 substeps per period here
+    monkeypatch.setattr(numeric, "_MAGNUS_MAX_SUBSTEPS", 128)
+    with pytest.raises(StiffnessError, match="128 substeps"):
+        evolve_floquet(params(r=8.65), Spinor.plus(), 1.0, tol=1e-12)
+    code = cli.main([
+        "evolve", "--r", "8.65", "--t-end", "1", "--tol", "1e-12", "--methods", "numeric",
+    ])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 # --- HF averaging ---------------------------------------------------------------
