@@ -94,18 +94,18 @@ def h_eff(p: DriveParams) -> PauliOperator:
 # ---------------------------------------------------------------------------
 # Slow-frequency correction ingredients
 
-def ab_funcs(r: float, phi: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:
+def ab_funcs(r: float, phi: float) -> tuple[float, float]:
     """Phase coefficients a(r, phi) and b(r, phi).
 
     a = 2 int_0^phi sin(r sin u) du - pi H0(r)
     b = 2 [int_0^phi cos(r sin u) du - phi J0(r)]
     """
     if phi >= 0.0:
-        sa = integrate(lambda u: math.sin(r * math.sin(u)), 0.0, phi, spec)
-        ca = integrate(lambda u: math.cos(r * math.sin(u)), 0.0, phi, spec)
+        sa = integrate(lambda u: math.sin(r * math.sin(u)), 0.0, phi)
+        ca = integrate(lambda u: math.cos(r * math.sin(u)), 0.0, phi)
     else:
-        sa = -integrate(lambda u: math.sin(r * math.sin(u)), phi, 0.0, spec)
-        ca = -integrate(lambda u: math.cos(r * math.sin(u)), phi, 0.0, spec)
+        sa = -integrate(lambda u: math.sin(r * math.sin(u)), phi, 0.0)
+        ca = -integrate(lambda u: math.cos(r * math.sin(u)), phi, 0.0)
     a = 2.0 * sa - math.pi * special.struve_h0(r)
     b = 2.0 * (ca - phi * special.bessel_j0(r))
     return a, b
@@ -123,7 +123,7 @@ def pi_eff_vector(p: DriveParams) -> Vec3:
     )
 
 
-def sigma_op(t0: float, p: DriveParams, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> PauliOperator:
+def sigma_op(t0: float, p: DriveParams) -> PauliOperator:
     """Running integral of (rotating-frame Hamiltonian minus its average).
 
     Periodic in t0 with period 2 pi and zero at both ends of a period.
@@ -137,11 +137,11 @@ def sigma_op(t0: float, p: DriveParams, spec: QuadratureSpec = DEFAULT_QUADRATUR
         return math.sin(p.r * math.sin(u + p.phi_hf))
 
     if t0 >= 0.0:
-        ix = integrate(fx, 0.0, t0, spec)
-        iy = integrate(fy, 0.0, t0, spec)
+        ix = integrate(fx, 0.0, t0)
+        iy = integrate(fy, 0.0, t0)
     else:
-        ix = -integrate(fx, t0, 0.0, spec)
-        iy = -integrate(fy, t0, 0.0, spec)
+        ix = -integrate(fx, t0, 0.0)
+        iy = -integrate(fy, t0, 0.0)
     f = -0.5 * p.omega_perp
     return PauliOperator.hermitian(0.0, Vec3(f * ix, f * iy, 0.0))
 
@@ -280,15 +280,16 @@ def eta_via_vectors(p: DriveParams) -> float:
     return (2.0 / w) * (n.dot(q) + m.dot(m) / w)
 
 
-_ZERO_GUESS_SPACING = math.pi
-
-
-def _nearest_bessel_zero_index(r: float) -> Optional[int]:
-    j_guess = int(round(r / _ZERO_GUESS_SPACING + 0.25))
-    for j in (j_guess - 1, j_guess, j_guess + 1):
-        if j >= 1 and abs(special.bessel_j0_zero(j) - r) <= RESONANCE_EPS:
-            return j
-    return None
+def _branch_gamma1(p: DriveParams) -> float:
+    """gamma1 at the Bessel zero r_j that r sits on; degenerate branch only."""
+    # r_j lies in ((j - 3/4) pi, (j + 1/4) pi), so this is the only candidate
+    j = round(p.r / math.pi + 0.25)
+    if abs(special.bessel_j0_zero(j) - p.r) > RESONANCE_EPS:
+        raise InconsistentParametersError(
+            f"degenerate branch requires r at a Bessel zero; r = {p.r!r} is not "
+            f"within {RESONANCE_EPS} of one"
+        )
+    return gamma1_at_zero(j)
 
 
 def ms_hamiltonian(p: DriveParams) -> PauliOperator:
@@ -301,14 +302,7 @@ def ms_hamiltonian(p: DriveParams) -> PauliOperator:
     if p.omega_perp == 0.0:
         return h_eff(p)  # eta vanishes identically
     if is_resonant_branch(p):
-        j = _nearest_bessel_zero_index(p.r)
-        if j is None:
-            raise InconsistentParametersError(
-                f"degenerate branch requires r at a Bessel zero; r = {p.r!r} is not "
-                f"within {RESONANCE_EPS} of one"
-            )
-        g1j = gamma1(special.bessel_j0_zero(j))
-        coef = -(p.epsilon**2) * (0.5 * p.omega_perp) ** 3 * g1j
+        coef = -(p.epsilon**2) * (0.5 * p.omega_perp) ** 3 * _branch_gamma1(p)
         return PauliOperator.hermitian(0.0, Vec3(coef, 0.0, 0.0))
     return (1.0 + p.epsilon**2 * eta(p)) * h_eff(p)
 
@@ -319,13 +313,7 @@ def omega_ms(p: DriveParams) -> float:
     if p.omega_perp == 0.0:
         return omega_eff(p)
     if is_resonant_branch(p):
-        j = _nearest_bessel_zero_index(p.r)
-        if j is None:
-            raise InconsistentParametersError(
-                f"degenerate branch requires r at a Bessel zero; r = {p.r!r} is not "
-                f"within {RESONANCE_EPS} of one"
-            )
-        return 0.25 * p.epsilon**2 * p.omega_perp**3 * gamma1(special.bessel_j0_zero(j))
+        return 0.25 * p.epsilon**2 * p.omega_perp**3 * _branch_gamma1(p)
     return (1.0 + p.epsilon**2 * eta(p)) * omega_eff(p)
 
 

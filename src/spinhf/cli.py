@@ -31,6 +31,7 @@ _USAGE_EXIT = 2
 _NUMERIC_EXIT = 3
 
 _METHOD_ORDER = ("exact", "avg", "ms", "numeric")
+_CSV_CHUNK = 1 << 12  # rows formatted at a time; bounds the strings held
 
 
 class UsageError(Exception):
@@ -73,12 +74,13 @@ def parse_scalar(text: str) -> float:
     )
 
 
-def parse_initial(text: str) -> Spinor:
+def _initial_coeffs(text: str) -> tuple[float, float]:
+    """(c, phase) of an initial-state spec, for Spinor.superposition."""
     s = str(text).strip().lower()
     if s == "plus":
-        return Spinor.plus()
+        return 1.0, 0.0
     if s == "minus":
-        return Spinor.minus()
+        return 0.0, 0.0
     parts = s.split(",")
     if len(parts) != 2:
         raise UsageError(
@@ -93,7 +95,11 @@ def parse_initial(text: str) -> Spinor:
         raise UsageError(f"bad initial state {text!r}: {exc}") from exc
     if not 0.0 <= c <= 1.0:
         raise UsageError(f"initial weight c = {c!r} outside [0, 1]")
-    return Spinor.superposition(c, phase)
+    return c, phase
+
+
+def parse_initial(text: str) -> Spinor:
+    return Spinor.superposition(*_initial_coeffs(text))
 
 
 def parse_methods(text) -> list[str]:
@@ -165,14 +171,14 @@ PRESETS: dict[str, dict] = {
 _CONFIG_KEYS = {
     "subcommand", "omega_perp", "omega_par", "Omega_HF", "r", "phi_hf",
     "initial", "methods", "t_start", "t_end", "sample_dt", "tol", "grid",
-    "jobs", "hf_average", "format", "out", "zeros", "gamma_at",
+    "hf_average", "format", "out", "zeros", "gamma_at",
 }
 
 _DEFAULTS = {
     "omega_perp": 3.0, "omega_par": 0.0, "Omega_HF": 50.0, "r": 0.0,
     "phi_hf": 0.0, "initial": "plus", "methods": "numeric",
     "t_start": 0.0, "t_end": None, "sample_dt": None, "tol": 1e-8,
-    "grid": None, "jobs": None, "hf_average": False, "format": "csv",
+    "grid": None, "hf_average": False, "format": "csv",
     "out": None, "zeros": 3, "gamma_at": None,
 }
 
@@ -370,11 +376,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     fp, close = _open_out(s["out"])
     try:
         if s["format"] == "csv":
-            names = list(columns)
-            fp.write("t," + ",".join(names) + "\n")
-            for i, t in enumerate(grid):
-                row = [f"{t:.12e}"] + [f"{columns[n][i]:.12e}" for n in names]
-                fp.write(",".join(row) + "\n")
+            fp.write("t," + ",".join(columns) + "\n")
+            cols = (grid, *columns.values())
+            for lo in range(0, grid.size, _CSV_CHUNK):
+                cells = [[f"{x:.12e}" for x in c[lo : lo + _CSV_CHUNK].tolist()] for c in cols]
+                fp.writelines(",".join(row) + "\n" for row in zip(*cells))
         elif s["format"] == "json":
             _json_dump(
                 {
@@ -417,8 +423,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"bad grid spec {graw!r}")
     grid = np.linspace(lo, hi, npts)
     t_end = float(parse_scalar(s["t_end"])) if s["t_end"] is not None else None
-    # --jobs and the jobs config key are accepted for compatibility; the
-    # sweep runs in this process
     result = numeric.resonance_sweep(
         p, grid, methods, tol=float(s["tol"]), t_end=t_end, on_error="collect",
     )
@@ -467,15 +471,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         omega_perp=p_a.omega_perp, omega_par=p_a.omega_par,
         Omega_HF=p_a.Omega_HF, r=p_a.r, phi_hf=0.0,
     )
-    init_a = parse_initial(init_spec)
-    low = init_spec.strip().lower()
-    if low == "plus":
-        c, phase = 1.0, 0.0
-    elif low == "minus":
-        c, phase = 0.0, 0.0
-    else:
-        parts = low.split(",")
-        c, phase = parse_scalar(parts[0]), parse_scalar(parts[1])
+    c, phase = _initial_coeffs(init_spec)
+    init_a = Spinor.superposition(c, phase)
     init_b = Spinor.superposition(c, phase + shift)
 
     report = {}
@@ -582,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", nargs=3, metavar=("MIN", "MAX", "POINTS"),
         help="omega_par grid (MIN and MAX accept pi/rN tokens)",
     )
-    sp.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser(
@@ -608,11 +604,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_EXIT
-    except (
-        analytic.ResonantBranchError,
-        analytic.InconsistentParametersError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         if isinstance(exc, numeric.InsufficientSpanError):
             sys.stderr.write(f"numerical failure: {exc}\n")
             return _NUMERIC_EXIT

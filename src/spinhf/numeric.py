@@ -7,10 +7,9 @@ Hamiltonian is periodic with the HF period T, so one period's propagator,
 built from fourth-order Magnus steps and raised to the n-th power in
 closed form, gives the state at any time (stroboscopic Floquet evolution).
 `integrate_schrodinger` is the oracle: an embedded adaptive Runge-Kutta
-5(4) pair on the two complex state amplitudes, stepped in the lab frame
-by default (the rotating frame is available as a cross-check). Its step
-size is error controlled and additionally capped at a twentieth of the
-HF period so the fast drive is never aliased.
+5(4) pair on the two complex state amplitudes, stepped in the lab frame.
+Its step size is error controlled and additionally capped at a twentieth
+of the HF period so the fast drive is never aliased.
 """
 
 from __future__ import annotations
@@ -223,24 +222,6 @@ def _rhs_lab(p: DriveParams) -> Callable:
     return rhs
 
 
-def _rhs_transformed(p: DriveParams) -> Callable:
-    # Rotating-frame generator evaluated at t0 = Omega_HF t; note the
-    # caller must supply the frame-rotated initial state.
-    half_perp = 0.5 * p.omega_perp
-    hz = -0.5 * (1.0 + p.omega_par)
-    r = p.r
-    ohf = p.Omega_HF
-    phi = p.phi_hf
-    cos, sin = math.cos, math.sin
-
-    def rhs(t: float, u: complex, d: complex):
-        th = r * sin(ohf * t + phi)
-        hm = complex(-half_perp * cos(th), half_perp * sin(th))
-        return -1j * (hz * u + hm * d), -1j * (hm.conjugate() * u - hz * d)
-
-    return rhs
-
-
 def default_sample_dt(p: DriveParams) -> float:
     return (TWO_PI / p.Omega_HF) / 32.0
 
@@ -251,9 +232,9 @@ def integrate_schrodinger(
     t_end: float,
     sample_dt: Optional[float] = None,
     tol: float = 1e-8,
-    frame: str = "lab",
 ) -> tuple[TimeSeries, Spinor]:
-    """Integrate i dpsi/dt = H(t) psi from t = 0 and sample <sigma_z>.
+    """Integrate i dpsi/dt = H(t) psi in the lab frame from t = 0 and
+    sample <sigma_z>.
 
     Samples are recorded at exact multiples of sample_dt (default: a
     thirty-second of the HF period). Returns the series and the final
@@ -269,12 +250,7 @@ def integrate_schrodinger(
         raise ValueError(f"t_end must be > 0, got {t_end!r}")
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
-    if frame == "lab":
-        rhs = _rhs_lab(p)
-    elif frame == "transformed":
-        rhs = _rhs_transformed(p)
-    else:
-        raise ValueError(f"unknown frame {frame!r}")
+    rhs = _rhs_lab(p)
     if sample_dt is None:
         sample_dt = default_sample_dt(p)
     if not sample_dt > 0.0:
@@ -364,7 +340,7 @@ def integrate_schrodinger(
     final = Spinor(u / norm, d / norm)
     series = TimeSeries(
         times=np.array(times), values=np.array(values),
-        method=f"numeric[{frame}]", params=p, norm_drift=drift,
+        method="numeric[lab]", params=p, norm_drift=drift,
     )
     return series, final
 
@@ -500,17 +476,16 @@ def evolve_floquet(
 
     Same sample grid (exact multiples of sample_dt up to t_end; default a
     thirty-second of the HF period, which it need not divide), return
-    values and validation as integrate_schrodinger, without its frame
-    option. In the rotating frame (model.hamiltonian_transformed) the
-    Hamiltonian has period T = 2 pi / Omega_HF, and <sigma_z> is the same
-    in both frames. One period is split into N fourth-order Magnus
-    substeps; N doubles from 64 until U(T) moves by at most tol * T, and
-    StiffnessError is raised past 2^17. When t_end < T the table spans
-    [0, t_end] instead of one period. Samples are evaluated in chunks of
-    fixed size, so beyond the output arrays memory does not grow with the
-    horizon. The final state
-    is the lab-frame state at t_end. norm_drift is 0.0: every propagator
-    is an exact SU(2) product, so there is no norm to restore.
+    values and validation as integrate_schrodinger. In the rotating frame
+    (model.hamiltonian_transformed) the Hamiltonian has period
+    T = 2 pi / Omega_HF, and <sigma_z> is the same in both frames. One
+    period is split into N fourth-order Magnus substeps; N doubles from 64
+    until U(T) moves by at most tol * T, and StiffnessError is raised past
+    2^17. When t_end < T the table spans [0, t_end] instead of one period.
+    Samples are evaluated in chunks of fixed size, so beyond the output
+    arrays memory does not grow with the horizon. The final state is the
+    lab-frame state at t_end. norm_drift is 0.0: every propagator is an
+    exact SU(2) product, so there is no norm to restore.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be > 0, got {t_end!r}")
@@ -546,18 +521,6 @@ def evolve_floquet(
     final = gauge_factor(t_end, p).apply(Spinor(up / norm, down / norm))
     series = TimeSeries(times=times, values=values[:-1], method="numeric[floquet]", params=p)
     return series, final
-
-
-def sample_closed(
-    method: analytic.MethodId,
-    p: DriveParams,
-    init: Spinor,
-    times: Sequence[float],
-) -> TimeSeries:
-    """Closed-form <sigma_z> trace on the given time grid."""
-    ts = np.asarray(times, dtype=float)
-    vals = analytic.expect_sz_closed(method, ts, p, init)
-    return TimeSeries(times=ts, values=vals, method=method.value, params=p)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +590,6 @@ def resonance_sweep(
     omega_par_grid: Sequence[float],
     methods: Sequence[str],
     tol: float = 1e-8,
-    jobs: Optional[int] = None,
     t_end: Optional[float] = None,
     on_error: str = "raise",
 ) -> SweepResult:
@@ -636,8 +598,7 @@ def resonance_sweep(
     Closed-form methods evaluate pointwise; "numeric" evolves each grid
     point from |+> with evolve_floquet over an auto-chosen horizon of 1.5
     slow periods (with a frequency floor so off-resonance points stay
-    cheap), in this process. jobs is accepted for compatibility and has
-    no effect. on_error = "raise" aborts on the first failing point;
+    cheap). on_error = "raise" aborts on the first failing point;
     "collect" records NaN and continues.
     """
     grid = [float(w) for w in omega_par_grid]

@@ -8,6 +8,7 @@ working domain |x| <= 50; quadrature tolerances are caller-controlled.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 BESSEL_DOMAIN = 50.0
 _SERIES_CUTOFF = 16.0  # power series below, asymptotic expansion above
 _MAX_PANELS = 200_000
+_CUMULATIVE_PANELS = 512  # uniform panel grid of CumulativeIntegral
 
 
 class ToleranceNotMetError(ArithmeticError):
@@ -129,6 +131,7 @@ def bessel_j1(x: float) -> float:
     return _j1_raw(x)
 
 
+@functools.lru_cache(maxsize=None)
 def bessel_j0_zero(j: int) -> float:
     """j-th positive zero of J0, strictly increasing in j.
 
@@ -305,23 +308,21 @@ class CumulativeIntegral:
 
     Kronrod prefix sums over a fixed uniform panel grid; an evaluation
     adds one partial panel. Panel-rule accuracy is far below 1e-12 for
-    the trigonometric integrands used here at the default resolution.
+    the trigonometric integrands used here with _CUMULATIVE_PANELS.
     """
 
     __slots__ = ("_f", "_lo", "_hi", "_h", "_prefix")
 
-    def __init__(self, f: Callable[[float], float], lo: float, hi: float, panels: int = 512):
+    def __init__(self, f: Callable[[float], float], lo: float, hi: float):
         if hi <= lo:
             raise ValueError("CumulativeIntegral requires hi > lo")
-        if panels < 1:
-            raise ValueError("panels must be >= 1")
         self._f = f
         self._lo = lo
         self._hi = hi
-        self._h = (hi - lo) / panels
+        self._h = (hi - lo) / _CUMULATIVE_PANELS
         prefix = [0.0]
         running = 0.0
-        for k in range(panels):
+        for k in range(_CUMULATIVE_PANELS):
             running += _gk15(f, lo + k * self._h, lo + (k + 1) * self._h)[0]
             prefix.append(running)
         self._prefix = prefix

@@ -86,9 +86,7 @@ def test_criterion_3_resonance_sweep():
     grid = np.linspace(-4.0, 2.0, 25)
     devs = {}
     for r in (1.0, 2.0):
-        res = resonance_sweep(
-            params(omega_par=0.0, r=r), grid, methods=("avg", "numeric"), jobs=4
-        )
+        res = resonance_sweep(params(omega_par=0.0, r=r), grid, methods=("avg", "numeric"))
         assert res.failures == ()
         devs[r] = float(np.max(np.abs(res.amplitudes["numeric"] - res.amplitudes["avg"])))
     exact_curve = np.array(
@@ -162,7 +160,7 @@ def test_criterion_5_degenerate_branch():
     off_min = float(hf_average(series, p_off).values.min())
 
     grid = np.linspace(-1.02, -0.98, 9)
-    res = resonance_sweep(p_branch, grid, methods=("numeric",), jobs=4)
+    res = resonance_sweep(p_branch, grid, methods=("numeric",))
     assert res.failures == ()
     amps = res.amplitudes["numeric"]
     center = int(np.argmin(np.abs(grid - (-1.0))))

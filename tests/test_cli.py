@@ -202,7 +202,7 @@ def test_evolve_deterministic_bytes(tmp_path):
 def test_sweep_closed_amplitudes(capsys):
     code = main([
         "sweep", "--r", "0", "--grid", "-1", "0", "2",
-        "--methods", "exact", "--jobs", "1",
+        "--methods", "exact",
     ])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -218,7 +218,7 @@ def test_sweep_failure_exit_code_and_gaps(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([
         "sweep", "--r", "0", "--grid", "-1", "-1", "1",
-        "--methods", "numeric", "--t-end", "1", "--jobs", "1",
+        "--methods", "numeric", "--t-end", "1",
         "--out", str(out),
     ])
     assert code == 3
@@ -239,7 +239,7 @@ def test_sweep_grid_tokens(capsys):
     # since a leading dash reads as a flag)
     code = main([
         "sweep", "--r", "0", "--grid", "0", "pi", "3",
-        "--methods", "avg", "--jobs", "1",
+        "--methods", "avg",
     ])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -315,6 +315,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"t_end": 1.0, "bogus": 2}))
     assert main(["evolve", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # jobs is not a setting: a sweep runs in one process
+    cfg.write_text(json.dumps({"grid": [-1, 0, 2], "methods": "avg", "jobs": 2}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "unknown config keys: ['jobs']" in capsys.readouterr().err
 
 
 def test_config_subcommand_mismatch(tmp_path, capsys):
@@ -333,9 +337,13 @@ def test_config_invalid_json(tmp_path, capsys):
 # --- top level --------------------------------------------------------------------
 
 def test_unknown_flag_is_argparse_error():
-    with pytest.raises(SystemExit) as exc_info:
-        main(["evolve", "--nope"])
-    assert exc_info.value.code == 2
+    for argv in (
+        ["evolve", "--nope"],
+        ["sweep", "--r", "0", "--grid", "-1", "0", "2", "--methods", "avg", "--jobs", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2, argv
 
 
 def test_version_flag(capsys):

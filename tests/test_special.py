@@ -126,6 +126,7 @@ def test_zero_spacing_approaches_pi():
 
 
 def test_zero_argument_validation():
+    bessel_j0_zero(1)  # cached from here on; the rejections must still happen
     with pytest.raises(ValueError):
         bessel_j0_zero(0)
     with pytest.raises(ValueError):
