@@ -6,13 +6,17 @@ average, and the two-time-scale correction of the average. The last two
 differ only in the slow generator; on the degenerate branch where the
 averaged generator vanishes the corrected one produces a slow
 full-amplitude oscillation instead of frozen dynamics.
+
+Every derived quantity of a parameter set lives in one record,
+EffectiveQuantities, built once per DriveParams by _record (the one
+place that decides the branch); the public functions read its fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -50,11 +54,6 @@ def omega0(p: DriveParams) -> float:
     return math.hypot(1.0 + p.omega_par, p.omega_perp)
 
 
-def omega_eff(p: DriveParams) -> float:
-    """Effective Rabi frequency sqrt((1+w_par)^2 + [w_perp J0(r)]^2)."""
-    return math.hypot(1.0 + p.omega_par, p.omega_perp * special.bessel_j0(p.r))
-
-
 def is_resonant_branch(p: DriveParams) -> bool:
     """True when the averaged generator vanishes: w_par = -1 and J0(r) = 0.
 
@@ -68,27 +67,9 @@ def is_resonant_branch(p: DriveParams) -> bool:
     )
 
 
-def axis_n(p: DriveParams) -> Optional[Vec3]:
-    """Unit rotation axis of the averaged generator; None where it vanishes."""
-    ox = p.omega_perp * special.bessel_j0(p.r)
-    oz = 1.0 + p.omega_par
-    w = math.hypot(ox, oz)
-    if w == 0.0 or is_resonant_branch(p):
-        return None
-    return Vec3(ox / w, 0.0, oz / w)
-
-
 def h0_op(p: DriveParams) -> PauliOperator:
     """Rotating-frame Hamiltonian without the HF drive."""
     return PauliOperator.hermitian(0.0, Vec3(-0.5 * p.omega_perp, 0.0, -0.5 * (1.0 + p.omega_par)))
-
-
-def h_eff(p: DriveParams) -> PauliOperator:
-    """One-period average of the rotating-frame Hamiltonian."""
-    return PauliOperator.hermitian(
-        0.0,
-        Vec3(-0.5 * p.omega_perp * special.bessel_j0(p.r), 0.0, -0.5 * (1.0 + p.omega_par)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +90,6 @@ def ab_funcs(r: float, phi: float) -> tuple[float, float]:
     a = 2.0 * sa - math.pi * special.struve_h0(r)
     b = 2.0 * (ca - phi * special.bessel_j0(r))
     return a, b
-
-
-def pi_eff_vector(p: DriveParams) -> Vec3:
-    """Real vector m of the first-order secular operator (the operator is i m . sigma)."""
-    a, b = ab_funcs(p.r, p.phi_hf)
-    f = -0.25 * p.omega_perp
-    opar1 = 1.0 + p.omega_par
-    return Vec3(
-        f * opar1 * a,
-        -f * opar1 * b,
-        -f * p.omega_perp * special.bessel_j0(p.r) * a,
-    )
 
 
 def sigma_op(t0: float, p: DriveParams) -> PauliOperator:
@@ -144,22 +113,6 @@ def sigma_op(t0: float, p: DriveParams) -> PauliOperator:
         iy = -integrate(fy, t0, 0.0)
     f = -0.5 * p.omega_perp
     return PauliOperator.hermitian(0.0, Vec3(f * ix, f * iy, 0.0))
-
-
-def lambda_op(t1: float, p: DriveParams) -> PauliOperator:
-    """Bounded first-order secular accumulation; zero on the degenerate branch."""
-    if is_resonant_branch(p):
-        return su2.ZERO_OP
-    w = omega_eff(p)
-    if w == 0.0:
-        # only reachable with omega_perp = 0 and omega_par = -1, where m = 0
-        return su2.ZERO_OP
-    m = pi_eff_vector(p)
-    n = axis_n(p)
-    c1 = math.sin(w * t1) / w
-    c2 = (1.0 - math.cos(w * t1)) / w
-    vec = c1 * m + c2 * n.cross(m)
-    return PauliOperator(0j, 1j * vec.x, 1j * vec.y, 1j * vec.z)
 
 
 # ---------------------------------------------------------------------------
@@ -224,102 +177,30 @@ def gamma1_at_zero(j: int) -> float:
     return gamma1(special.bessel_j0_zero(j))
 
 
-# ---------------------------------------------------------------------------
-# Slow-frequency correction and corrected generator
-
-def _alphas(p: DriveParams) -> tuple[float, float, float]:
-    a, b = ab_funcs(p.r, p.phi_hf)
-    j0 = special.bessel_j0(p.r)
-    g1, g2 = _gamma_pair(p.r)
-    alpha_x = 0.5 * j0 * a * a - g1
-    alpha_y = -0.5 * j0 * a * b
-    alpha_z = 0.25 * a * a + 0.25 * b * b - g2
-    return alpha_x, alpha_y, alpha_z
-
-
-def q_vector(p: DriveParams) -> Vec3:
-    """Second-order secular vector q built from the alpha coefficients."""
-    ax, ay, az = _alphas(p)
-    half_perp = 0.5 * p.omega_perp
-    f = -half_perp * half_perp
-    return Vec3(f * half_perp * ax, f * half_perp * ay, f * (1.0 + p.omega_par) * az)
-
-
-def eta(p: DriveParams) -> float:
-    """Relative slow-frequency correction (closed form in gamma1/gamma2)."""
-    if p.omega_perp == 0.0:
-        return 0.0
-    if is_resonant_branch(p):
-        raise ResonantBranchError(
-            "eta is undefined where the averaged generator vanishes; "
-            "use the degenerate-branch generator instead"
-        )
-    w = omega_eff(p)
-    g1, g2 = _gamma_pair(p.r)
-    j0 = special.bessel_j0(p.r)
-    ratio = p.omega_perp / w
-    return 0.5 * ratio * ratio * (
-        0.5 * p.omega_perp**2 * j0 * g1 + (1.0 + p.omega_par) ** 2 * g2
-    )
-
-
-def eta_via_vectors(p: DriveParams) -> float:
-    """Same correction from the vector route 2/w (n.q + |m|^2 / w).
-
-    The formal square of the imaginary secular vector contributes
-    -|m|^2; agreement with eta() is a property test.
-    """
-    if p.omega_perp == 0.0:
-        return 0.0
-    if is_resonant_branch(p):
-        raise ResonantBranchError("eta is undefined on the degenerate branch")
-    w = omega_eff(p)
-    n = axis_n(p)
-    q = q_vector(p)
-    m = pi_eff_vector(p)
-    return (2.0 / w) * (n.dot(q) + m.dot(m) / w)
-
-
-def _branch_gamma1(p: DriveParams) -> float:
-    """gamma1 at the Bessel zero r_j that r sits on; degenerate branch only."""
+def _branch_gamma1(r: float) -> Optional[float]:
+    """gamma1 at the Bessel zero r_j that r sits on; None if r is not
+    within RESONANCE_EPS of one."""
     # r_j lies in ((j - 3/4) pi, (j + 1/4) pi), so this is the only candidate
-    j = round(p.r / math.pi + 0.25)
-    if abs(special.bessel_j0_zero(j) - p.r) > RESONANCE_EPS:
-        raise InconsistentParametersError(
-            f"degenerate branch requires r at a Bessel zero; r = {p.r!r} is not "
-            f"within {RESONANCE_EPS} of one"
-        )
+    j = round(r / math.pi + 0.25)
+    if abs(special.bessel_j0_zero(j) - r) > RESONANCE_EPS:
+        return None
     return gamma1_at_zero(j)
 
 
-def ms_hamiltonian(p: DriveParams) -> PauliOperator:
-    """Slow generator including the second-order secular correction.
-
-    Off the degenerate branch it rescales the averaged generator by
-    (1 + eps^2 eta); on it the surviving term is the slow x rotation
-    with coefficient -eps^2 (w_perp/2)^3 gamma1 at the Bessel zero.
-    """
-    if p.omega_perp == 0.0:
-        return h_eff(p)  # eta vanishes identically
-    if is_resonant_branch(p):
-        coef = -(p.epsilon**2) * (0.5 * p.omega_perp) ** 3 * _branch_gamma1(p)
-        return PauliOperator.hermitian(0.0, Vec3(coef, 0.0, 0.0))
-    return (1.0 + p.epsilon**2 * eta(p)) * h_eff(p)
-
-
-def omega_ms(p: DriveParams) -> float:
-    """Corrected slow frequency; on the degenerate branch the signed
-    eigenfrequency (eps^2 / 4) w_perp^3 gamma1(r_j)."""
-    if p.omega_perp == 0.0:
-        return omega_eff(p)
-    if is_resonant_branch(p):
-        return 0.25 * p.epsilon**2 * p.omega_perp**3 * _branch_gamma1(p)
-    return (1.0 + p.epsilon**2 * eta(p)) * omega_eff(p)
-
+# ---------------------------------------------------------------------------
+# The slow solution of one parameter set
 
 @dataclass(frozen=True, slots=True)
 class EffectiveQuantities:
-    """Aggregate of the derived scalars and vectors for one parameter set."""
+    """Every derived scalar and vector of one parameter set, and the
+    averaged (h_eff) and corrected (h_ms) slow generators.
+
+    m is the real vector of the first-order secular operator i m.sigma,
+    q the second-order secular vector built from the alphas, n the unit
+    axis of the averaged generator (None where it vanishes). Omega_ms and
+    h_ms are None only inside the cache, for degenerate-branch parameters
+    whose r misses the Bessel zero; effective_quantities raises there.
+    """
 
     Omega0: float
     Omega_eff: float
@@ -335,45 +216,150 @@ class EffectiveQuantities:
     gamma1: float
     gamma2: float
     eta: Optional[float]
-    Omega_ms: float
+    Omega_ms: Optional[float]
     resonant_branch: bool
+    h_eff: PauliOperator = field(repr=False)
+    h_ms: Optional[PauliOperator] = field(repr=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _record(p: DriveParams) -> EffectiveQuantities:
+    """Build the slow solution of p: the one place that tests the branch.
+
+    A degenerate branch off its Bessel zero leaves Omega_ms and h_ms None
+    for the ms readers to reject, so the averaged quantities stay usable
+    there.
+    """
+    j0 = special.bessel_j0(p.r)
+    a, b = ab_funcs(p.r, p.phi_hf)
+    g1, g2 = _gamma_pair(p.r)
+    branch = is_resonant_branch(p)
+    opar1 = 1.0 + p.omega_par
+    ox = p.omega_perp * j0
+    w = math.hypot(opar1, ox)
+    h_eff = PauliOperator.hermitian(0.0, Vec3(-0.5 * p.omega_perp * j0, 0.0, -0.5 * opar1))
+
+    f = -0.25 * p.omega_perp
+    m = Vec3(f * opar1 * a, -f * opar1 * b, -f * p.omega_perp * j0 * a)
+    alpha_x = 0.5 * j0 * a * a - g1
+    alpha_y = -0.5 * j0 * a * b
+    alpha_z = 0.25 * a * a + 0.25 * b * b - g2
+    half_perp = 0.5 * p.omega_perp
+    f = -half_perp * half_perp
+    q = Vec3(f * half_perp * alpha_x, f * half_perp * alpha_y, f * opar1 * alpha_z)
+
+    if p.omega_perp == 0.0:
+        eta_, w_ms, h_ms = 0.0, w, h_eff  # eta vanishes identically
+    elif branch:
+        # the surviving term is the slow x rotation with coefficient
+        # -eps^2 (w_perp/2)^3 gamma1 at the Bessel zero
+        eta_, w_ms, h_ms = None, None, None
+        g1_zero = _branch_gamma1(p.r)
+        if g1_zero is not None:
+            w_ms = 0.25 * p.epsilon**2 * p.omega_perp**3 * g1_zero
+            coef = -(p.epsilon**2) * half_perp**3 * g1_zero
+            h_ms = PauliOperator.hermitian(0.0, Vec3(coef, 0.0, 0.0))
+    else:
+        # the correction rescales the averaged generator by (1 + eps^2 eta)
+        ratio = p.omega_perp / w
+        eta_ = 0.5 * ratio * ratio * (0.5 * p.omega_perp**2 * j0 * g1 + opar1**2 * g2)
+        scale = 1.0 + p.epsilon**2 * eta_
+        w_ms, h_ms = scale * w, scale * h_eff
+
+    return EffectiveQuantities(
+        Omega0=omega0(p), Omega_eff=w,
+        n=None if w == 0.0 or branch else Vec3(ox / w, 0.0, opar1 / w),
+        j0r=j0, a=a, b=b, m=m, q=q, alpha_x=alpha_x, alpha_y=alpha_y, alpha_z=alpha_z,
+        gamma1=g1, gamma2=g2, eta=eta_, Omega_ms=w_ms, resonant_branch=branch,
+        h_eff=h_eff, h_ms=h_ms,
+    )
 
 
 def effective_quantities(p: DriveParams) -> EffectiveQuantities:
-    """Compute every derived quantity once (gamma evaluations are cached)."""
-    branch = is_resonant_branch(p)
-    a, b = ab_funcs(p.r, p.phi_hf)
-    g1, g2 = _gamma_pair(p.r)
-    ax, ay, az = _alphas(p)
-    return EffectiveQuantities(
-        Omega0=omega0(p),
-        Omega_eff=omega_eff(p),
-        n=axis_n(p),
-        j0r=special.bessel_j0(p.r),
-        a=a,
-        b=b,
-        m=pi_eff_vector(p),
-        q=q_vector(p),
-        alpha_x=ax,
-        alpha_y=ay,
-        alpha_z=az,
-        gamma1=g1,
-        gamma2=g2,
-        eta=None if branch else eta(p),
-        Omega_ms=omega_ms(p),
-        resonant_branch=branch,
-    )
+    """The slow solution of p (cached per parameter set). Raises
+    InconsistentParametersError on the degenerate branch when r misses
+    its Bessel zero, where the corrected generator is undefined."""
+    q = _record(p)
+    if q.h_ms is None:
+        raise InconsistentParametersError(
+            f"degenerate branch requires r at a Bessel zero; r = {p.r!r} is not "
+            f"within {RESONANCE_EPS} of one"
+        )
+    return q
+
+
+def omega_eff(p: DriveParams) -> float:
+    """Effective Rabi frequency sqrt((1+w_par)^2 + [w_perp J0(r)]^2)."""
+    return _record(p).Omega_eff
+
+
+def h_eff(p: DriveParams) -> PauliOperator:
+    """One-period average of the rotating-frame Hamiltonian."""
+    return _record(p).h_eff
+
+
+def lambda_op(t1: float, p: DriveParams) -> PauliOperator:
+    """Bounded first-order secular accumulation; zero on the degenerate branch."""
+    q = _record(p)
+    if q.n is None:
+        # the branch, or omega_perp = 0 with omega_par = -1, where m = 0
+        return su2.ZERO_OP
+    w = q.Omega_eff
+    c1 = math.sin(w * t1) / w
+    c2 = (1.0 - math.cos(w * t1)) / w
+    vec = c1 * q.m + c2 * q.n.cross(q.m)
+    return PauliOperator(0j, 1j * vec.x, 1j * vec.y, 1j * vec.z)
+
+
+def eta(p: DriveParams) -> float:
+    """Relative slow-frequency correction (closed form in gamma1/gamma2)."""
+    e = _record(p).eta
+    if e is None:
+        raise ResonantBranchError(
+            "eta is undefined where the averaged generator vanishes; "
+            "use the degenerate-branch generator instead"
+        )
+    return e
+
+
+def eta_via_vectors(p: DriveParams) -> float:
+    """Same correction from the vector route 2/w (n.q + |m|^2 / w).
+
+    The formal square of the imaginary secular vector contributes
+    -|m|^2; agreement with eta() is a property test.
+    """
+    q = _record(p)
+    if q.resonant_branch:
+        raise ResonantBranchError("eta is undefined on the degenerate branch")
+    if q.n is None:  # no field at all: omega_perp = 0 and omega_par = -1
+        return 0.0
+    w = q.Omega_eff
+    return (2.0 / w) * (q.n.dot(q.q) + q.m.dot(q.m) / w)
+
+
+def ms_hamiltonian(p: DriveParams) -> PauliOperator:
+    """Slow generator including the second-order secular correction.
+
+    Off the degenerate branch it rescales the averaged generator by
+    (1 + eps^2 eta); on it the surviving term is the slow x rotation
+    with coefficient -eps^2 (w_perp/2)^3 gamma1 at the Bessel zero.
+    """
+    return effective_quantities(p).h_ms
+
+
+def omega_ms(p: DriveParams) -> float:
+    """Corrected slow frequency; on the degenerate branch the signed
+    eigenfrequency (eps^2 / 4) w_perp^3 gamma1(r_j)."""
+    return effective_quantities(p).Omega_ms
 
 
 # ---------------------------------------------------------------------------
 # Propagators and closed traces
 
-@functools.lru_cache(maxsize=64)
 def _slow_generator(method: MethodId, p: DriveParams) -> PauliOperator:
     """Rotating-frame slow generator of a method: the one place that knows
     the method ladder. Propagators, traces and amplitudes all derive from
-    it. Cached because the correction pipeline behind it costs far more
-    than the lookup and propagator() is evaluated per time point."""
+    it."""
     if method is MethodId.EXACT_R0:
         if p.r != 0.0:
             raise ValueError("the exact propagator is only defined for r = 0")
@@ -382,7 +368,8 @@ def _slow_generator(method: MethodId, p: DriveParams) -> PauliOperator:
         # averaging destroys the resonance: on the degenerate branch the
         # averaged generator vanishes (h_eff is zero there up to the
         # RESONANCE_EPS drift of r and omega_par)
-        return su2.ZERO_OP if is_resonant_branch(p) else h_eff(p)
+        q = _record(p)
+        return su2.ZERO_OP if q.resonant_branch else q.h_eff
     if method is MethodId.MULTI_SCALE:
         return ms_hamiltonian(p)
     raise ValueError(f"unknown method {method!r}")
@@ -411,9 +398,9 @@ def slow_initial_state(p: DriveParams, init: Spinor) -> Spinor:
     It vanishes (the input state is returned) wherever a = b = 0, e.g.
     at phi_hf = pi/2 or r = 0.
     """
-    a, b = ab_funcs(p.r, p.phi_hf)
+    q = _record(p)
     f = 0.25 * p.omega_perp
-    s_mean = PauliOperator.hermitian(0.0, Vec3(f * b, f * a, 0.0))
+    s_mean = PauliOperator.hermitian(0.0, Vec3(f * q.b, f * q.a, 0.0))
     g0 = model.initial_gauge_factor(p)
     return (g0.adjoint() @ su2.pauli_exponential(s_mean, p.epsilon) @ g0).apply(init)
 

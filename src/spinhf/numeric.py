@@ -82,33 +82,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def to_csv(self, fp) -> None:
-        fp.write("t,value\n")
-        for t, v in zip(self.times, self.values):
-            fp.write(f"{t:.12e},{v:.12e}\n")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "spinhf/timeseries/1",
-            "method": self.method,
-            "params": self.params.to_json_dict(),
-            "norm_drift": self.norm_drift,
-            "t": [float(x) for x in self.times],
-            "value": [float(x) for x in self.values],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "TimeSeries":
-        if data.get("schema") != "spinhf/timeseries/1":
-            raise ValueError(f"unsupported schema {data.get('schema')!r}")
-        return TimeSeries(
-            times=np.array(data["t"], dtype=float),
-            values=np.array(data["value"], dtype=float),
-            method=str(data["method"]),
-            params=DriveParams.from_json_dict(data["params"]),
-            norm_drift=float(data.get("norm_drift", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -14,7 +14,7 @@ from spinhf import special, su2
 from spinhf.analytic import (
     MethodId,
     amplitude_closed,
-    axis_n,
+    effective_quantities,
     eta,
     eta_via_vectors,
     expect_sz_closed,
@@ -22,7 +22,6 @@ from spinhf.analytic import (
     gamma2,
     h_eff,
     omega_ms,
-    pi_eff_vector,
     propagator,
     sigma_op,
     slow_initial_state,
@@ -269,10 +268,10 @@ def test_criterion_7_property_suite():
             r=float(rng.uniform(0.0, 6.0)),
             phi_hf=float(rng.uniform(0.0, TWO_PI)),
         )
-        n = axis_n(p)
+        q = effective_quantities(p)
+        n, m = q.n, q.m
         if n is None:
             continue
-        m = pi_eff_vector(p)
         worst_dot = max(worst_dot, abs(n.dot(m)) / max(1.0, m.norm()))
         count += 1
     if not worst_dot < 1e-12:

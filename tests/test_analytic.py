@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from spinhf import special, su2
+from spinhf import analytic, special, su2
 from spinhf.analytic import (
     EffectiveQuantities,
     InconsistentParametersError,
@@ -12,7 +12,6 @@ from spinhf.analytic import (
     ResonantBranchError,
     ab_funcs,
     amplitude_closed,
-    axis_n,
     effective_quantities,
     eta,
     eta_via_vectors,
@@ -28,14 +27,12 @@ from spinhf.analytic import (
     omega0,
     omega_eff,
     omega_ms,
-    pi_eff_vector,
     propagator,
-    q_vector,
     sigma_op,
     slow_initial_state,
 )
 from spinhf.model import TWO_PI, DriveParams, hamiltonian_transformed, initial_gauge_factor
-from spinhf.numeric import hf_average, integrate_schrodinger
+from spinhf.numeric import hf_average, integrate_schrodinger, resonance_sweep
 from spinhf.special import QuadratureSpec
 from spinhf.su2 import Spinor, Vec3, expect_sz
 
@@ -209,7 +206,7 @@ def test_secular_vector_from_commutator_average():
         mref = 2.0 / TWO_PI * np.array(
             [np.trapezoid(cx, dx=h), np.trapezoid(cy, dx=h), np.trapezoid(cz, dx=h)]
         )
-        m = pi_eff_vector(p)
+        m = effective_quantities(p).m
         assert abs(m.x - mref[0]) < 1e-8
         assert abs(m.y - mref[1]) < 1e-8
         assert abs(m.z - mref[2]) < 1e-8
@@ -226,10 +223,10 @@ def test_secular_vector_orthogonal_to_axis():
             r=float(rng.uniform(0.0, 6.0)),
             phi_hf=float(rng.uniform(0.0, TWO_PI)),
         )
-        n = axis_n(p)
+        q = effective_quantities(p)
+        n, m = q.n, q.m
         if n is None:
             continue
-        m = pi_eff_vector(p)
         scale = max(1.0, m.norm())
         assert abs(n.dot(m)) < 1e-12 * scale
         count += 1
@@ -414,12 +411,29 @@ def test_ms_generator_without_transverse_field():
 
 
 def test_branch_requires_bessel_zero():
-    p = params(r=R1 + 1.5e-9)
-    assert is_resonant_branch(p)  # J0 is still below the resonance window
-    with pytest.raises(InconsistentParametersError):
-        ms_hamiltonian(p)
-    with pytest.raises(InconsistentParametersError):
-        omega_ms(p)
+    init = Spinor.superposition(0.6, 0.3)
+    for j in (1, 2, 3):
+        p = params(r=special.bessel_j0_zero(j) + 1.5e-9)
+        assert is_resonant_branch(p)  # J0 is still below the resonance window
+        # the averaged routes do not need the Bessel zero and keep working
+        j0 = special.bessel_j0(p.r)
+        assert h_eff(p).vx == -0.5 * p.omega_perp * j0
+        assert omega_eff(p) == math.hypot(0.0, p.omega_perp * j0)
+        assert amplitude_closed(MethodId.AVERAGING, p) == 0.0
+        trace = expect_sz_closed(MethodId.AVERAGING, np.array([0.0, 1.0, 50.0]), p, init)
+        assert np.all(trace == trace[0]) and abs(trace[0] - init.bloch().z) < 1e-15
+        kicked = slow_initial_state(p, init)
+        assert abs(abs(kicked.up) ** 2 + abs(kicked.down) ** 2 - 1.0) < 1e-14
+        with pytest.raises(InconsistentParametersError):
+            ms_hamiltonian(p)
+        with pytest.raises(InconsistentParametersError):
+            omega_ms(p)
+        with pytest.raises(InconsistentParametersError):
+            amplitude_closed(MethodId.MULTI_SCALE, p)
+        with pytest.raises(InconsistentParametersError):
+            effective_quantities(p)
+        with pytest.raises(ResonantBranchError):
+            eta(p)
 
 
 def test_branch_predicate():
@@ -432,12 +446,12 @@ def test_branch_predicate():
 
 def test_axis_n_properties():
     p = params(omega_par=0.3, r=1.0)
-    n = axis_n(p)
+    n = effective_quantities(p).n
     assert abs(n.norm() - 1.0) < 1e-15
     assert n.y == 0.0
     assert n.x * (1.0 + p.omega_par) > 0 and n.z > 0
-    assert axis_n(params(r=R1)) is None
-    assert axis_n(params(omega_perp=0.0, r=0.5)) is None
+    assert effective_quantities(params(r=R1)).n is None
+    assert effective_quantities(params(omega_perp=0.0, r=0.5)).n is None
 
 
 # --- averaged generator is the true period average ---------------------------
@@ -675,13 +689,22 @@ def test_effective_quantities_off_branch():
     p = params(omega_par=0.3)
     q = effective_quantities(p)
     assert isinstance(q, EffectiveQuantities)
+    j0 = special.bessel_j0(p.r)
+    opar1 = 1.0 + p.omega_par
+    w = math.hypot(opar1, p.omega_perp * j0)
     assert q.Omega0 == omega0(p)
-    assert q.Omega_eff == omega_eff(p)
-    assert q.n == axis_n(p)
-    assert q.j0r == special.bessel_j0(p.r)
+    assert q.Omega_eff == omega_eff(p) == w
+    assert q.n == Vec3(p.omega_perp * j0 / w, 0.0, opar1 / w)
+    assert q.j0r == j0
     assert (q.a, q.b) == ab_funcs(p.r, p.phi_hf)
-    assert q.m == pi_eff_vector(p)
-    assert q.q == q_vector(p)
+    f = -0.25 * p.omega_perp
+    assert q.m == Vec3(f * opar1 * q.a, -f * opar1 * q.b, -f * p.omega_perp * j0 * q.a)
+    assert q.alpha_x == 0.5 * j0 * q.a * q.a - q.gamma1
+    assert q.alpha_y == -0.5 * j0 * q.a * q.b
+    assert q.alpha_z == 0.25 * q.a * q.a + 0.25 * q.b * q.b - q.gamma2
+    half = 0.5 * p.omega_perp
+    f = -half * half
+    assert q.q == Vec3(f * half * q.alpha_x, f * half * q.alpha_y, f * opar1 * q.alpha_z)
     assert q.gamma1 == gamma1(p.r)
     assert q.gamma2 == gamma2(p.r)
     assert q.eta == eta(p)
@@ -695,3 +718,34 @@ def test_effective_quantities_on_branch():
     assert q.eta is None
     assert q.n is None
     assert q.Omega_ms == omega_ms(params(r=R1))
+
+
+def test_one_record_per_parameter_set(monkeypatch):
+    # The slow constants of a parameter set are derived once: one a/b
+    # evaluation, one gamma lookup and one J0 per new record (plus the one
+    # inside ab_funcs). The gamma pair is warmed first because its
+    # quadrature, with its own J0, is cached per r on its own.
+    p = params(omega_par=0.3, r=1.37, phi_hf=0.9)
+    gamma1(p.r)
+    calls = {"bessel_j0": 0, "ab_funcs": 0, "_gamma_pair": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(special, "bessel_j0")
+    counted(analytic, "ab_funcs")
+    counted(analytic, "_gamma_pair")
+
+    effective_quantities(p)
+    assert (calls["ab_funcs"], calls["_gamma_pair"]) == (1, 1)
+    assert calls["bessel_j0"] <= 2
+
+    calls.update(bessel_j0=0)
+    resonance_sweep(p, [0.11, 0.22, 0.33, 0.44], ["avg", "ms", "numeric"])
+    assert calls["bessel_j0"] <= 8

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 
 import numpy as np
@@ -277,33 +276,6 @@ def test_timeseries_immutable():
         s.values[0] = 0.0
     assert len(s) == 2
     assert s.norm_drift == 0.0
-
-
-def test_timeseries_csv_and_json_round_trip():
-    p = params()
-    s = TimeSeries(
-        times=np.array([0.0, 0.25, 0.5]),
-        values=np.array([1.0, -0.25, 0.125]),
-        method="numeric[lab]",
-        params=p,
-        norm_drift=1.5e-11,
-    )
-    buf = io.StringIO()
-    s.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,value"
-    assert len(lines) == 4
-    t0, v0 = lines[2].split(",")
-    assert float(t0) == 0.25 and float(v0) == -0.25
-
-    back = TimeSeries.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
-    assert np.array_equal(back.times, s.times)
-    assert np.array_equal(back.values, s.values)
-    assert back.method == s.method
-    assert back.params == p
-    assert back.norm_drift == s.norm_drift
-    with pytest.raises(ValueError, match="schema"):
-        TimeSeries.from_json_dict({"schema": "spinhf/timeseries/99"})
 
 
 # --- SweepResult container ----------------------------------------------------------
