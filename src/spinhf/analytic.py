@@ -10,6 +10,8 @@ full-amplitude oscillation instead of frozen dynamics.
 Every derived quantity of a parameter set lives in one record,
 EffectiveQuantities, built once per DriveParams by _record (the one
 place that decides the branch); the public functions read its fields.
+The slow constants are Jacobi-Anger sums over one Bessel row; the
+adaptive quadrature of gamma1/gamma2(r, spec) is their oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import model, special, su2
 from .model import DriveParams, TWO_PI
-from .special import DEFAULT_QUADRATURE, CumulativeIntegral, QuadratureSpec, integrate
+from .special import CumulativeIntegral, QuadratureSpec, integrate
 from .su2 import PauliOperator, Spinor, Vec3
 
 RESONANCE_EPS = 1e-9
@@ -73,23 +75,30 @@ def h0_op(p: DriveParams) -> PauliOperator:
 
 
 # ---------------------------------------------------------------------------
-# Slow-frequency correction ingredients
+# Slow-frequency correction ingredients: Jacobi-Anger sums over one Bessel row
+
+def _fourier_parts(jk: np.ndarray, u):
+    """P(u) = sum_{k even >= 2} (2 J_k / k) sin ku and
+    Q(u) = sum_{k odd} (2 J_k / k) cos ku for the Bessel row jk of r.
+
+    The Jacobi-Anger series cos(r sin v) = J0 + 2 sum_{k even} J_k cos kv
+    and sin(r sin v) = 2 sum_{k odd} J_k sin kv integrate term by term to
+    int_0^u cos(r sin v) dv = J0 u + P(u) and
+    int_0^u sin(r sin v) dv = Q(0) - Q(u). u is a float or an array.
+    """
+    k = np.arange(1, jk.size)
+    c = 2.0 * jk[1:] / k
+    return np.sin(np.multiply.outer(u, k[1::2])) @ c[1::2], np.cos(np.multiply.outer(u, k[::2])) @ c[::2]
+
 
 def ab_funcs(r: float, phi: float) -> tuple[float, float]:
     """Phase coefficients a(r, phi) and b(r, phi).
 
-    a = 2 int_0^phi sin(r sin u) du - pi H0(r)
-    b = 2 [int_0^phi cos(r sin u) du - phi J0(r)]
+    a = 2 int_0^phi sin(r sin u) du - pi H0(r) = -4 sum_{k odd} J_k(r) cos(k phi) / k
+    b = 2 [int_0^phi cos(r sin u) du - phi J0(r)] = 4 sum_{k even >= 2} J_k(r) sin(k phi) / k
     """
-    if phi >= 0.0:
-        sa = integrate(lambda u: math.sin(r * math.sin(u)), 0.0, phi)
-        ca = integrate(lambda u: math.cos(r * math.sin(u)), 0.0, phi)
-    else:
-        sa = -integrate(lambda u: math.sin(r * math.sin(u)), phi, 0.0)
-        ca = -integrate(lambda u: math.cos(r * math.sin(u)), phi, 0.0)
-    a = 2.0 * sa - math.pi * special.struve_h0(r)
-    b = 2.0 * (ca - phi * special.bessel_j0(r))
-    return a, b
+    p_, q_ = _fourier_parts(special.bessel_row(r), phi)
+    return float(-2.0 * q_), float(2.0 * p_)
 
 
 def sigma_op(t0: float, p: DriveParams) -> PauliOperator:
@@ -97,41 +106,45 @@ def sigma_op(t0: float, p: DriveParams) -> PauliOperator:
 
     Periodic in t0 with period 2 pi and zero at both ends of a period.
     """
-    j0 = special.bessel_j0(p.r)
-
-    def fx(u: float) -> float:
-        return math.cos(p.r * math.sin(u + p.phi_hf)) - j0
-
-    def fy(u: float) -> float:
-        return math.sin(p.r * math.sin(u + p.phi_hf))
-
-    if t0 >= 0.0:
-        ix = integrate(fx, 0.0, t0)
-        iy = integrate(fy, 0.0, t0)
-    else:
-        ix = -integrate(fx, t0, 0.0)
-        iy = -integrate(fy, t0, 0.0)
+    jk = special.bessel_row(p.r)
+    p1, q1 = _fourier_parts(jk, t0 + p.phi_hf)
+    p0, q0 = _fourier_parts(jk, p.phi_hf)
     f = -0.5 * p.omega_perp
-    return PauliOperator.hermitian(0.0, Vec3(f * ix, f * iy, 0.0))
+    return PauliOperator.hermitian(0.0, Vec3(f * float(p1 - p0), f * float(q0 - q1), 0.0))
 
 
 # ---------------------------------------------------------------------------
-# gamma integrals (cached; they dominate the constant-evaluation cost)
+# gamma integrals (cached per r; sweeps share one r across their grid)
 
-def _compute_gamma_pair(r: float, spec: QuadratureSpec) -> tuple[float, float]:
-    j0 = special.bessel_j0(r)
-    h0 = special.struve_h0(r)
+@functools.lru_cache(maxsize=256)
+def _default_gamma_pair(r: float) -> tuple[float, float]:
+    """The gamma pair with its inner integrals in closed form (_fourier_parts)
+    and the outer ones on a fixed Gauss-Legendre rule, which converges
+    exponentially on these entire integrands, with 2^ceil(log2(8r + 128)) nodes."""
+    x, w = special.gauss_legendre(1 << math.ceil(math.log2(8.0 * r + 128.0)))
+    phi, w = math.pi * (x + 1.0), math.pi * w
+    jk = special.bessel_row(r)
+    p_, q_ = _fourier_parts(jk, phi)
+    q0 = _fourier_parts(jk, 0.0)[1]
+    cum_cos, cum_sin = jk[0] * phi + p_, q0 - q_
+    c, s = np.cos(r * np.sin(phi)), np.sin(r * np.sin(phi))
+    return _combine_gamma(
+        jk[0], 2.0 * q0 / math.pi, w @ (s * cum_cos * cum_sin), w @ (phi * phi * c),
+        w @ (phi * (c * cum_cos + s * cum_sin)),
+    )
+
+
+def _quadrature_gamma_pair(r: float, spec: QuadratureSpec) -> tuple[float, float]:
+    """The gamma pair by adaptive quadrature, independent of the Bessel row
+    (J0 and H0 come from the cumulative integrals at pi): the oracle."""
     cum_cos = CumulativeIntegral(lambda u: math.cos(r * math.sin(u)), 0.0, TWO_PI)
     cum_sin = CumulativeIntegral(lambda u: math.sin(r * math.sin(u)), 0.0, TWO_PI)
-
     # Triple integral with both inner variables independent on [0, phi]:
     # reduces exactly to the product of the two cumulative integrals.
     triple = integrate(
         lambda phi: math.sin(r * math.sin(phi)) * cum_cos(phi) * cum_sin(phi),
         0.0, TWO_PI, spec,
     )
-    g1 = 0.5 * math.pi**2 * j0 * h0 * h0 + (2.0 / math.pi) * triple
-
     single = integrate(lambda phi: phi * phi * math.cos(r * math.sin(phi)), 0.0, TWO_PI, spec)
     double = integrate(
         lambda phi: phi * (
@@ -140,35 +153,37 @@ def _compute_gamma_pair(r: float, spec: QuadratureSpec) -> tuple[float, float]:
         ),
         0.0, TWO_PI, spec,
     )
+    return _combine_gamma(cum_cos(math.pi) / math.pi, cum_sin(math.pi) / math.pi, triple, single, double)
+
+
+def _combine_gamma(j0, h0, triple, single, double) -> tuple[float, float]:
+    g1 = 0.5 * math.pi**2 * j0 * h0 * h0 + (2.0 / math.pi) * triple
     g2 = (
         0.25 * math.pi**2 * h0 * h0
         - (4.0 * math.pi**2 / 3.0) * j0 * j0
         - j0 / TWO_PI * single
         + double / math.pi
     )
-    return g1, g2
-
-
-@functools.lru_cache(maxsize=None)
-def _default_gamma_pair(r: float) -> tuple[float, float]:
-    return _compute_gamma_pair(r, DEFAULT_QUADRATURE)
+    return float(g1), float(g2)
 
 
 def _gamma_pair(r: float, spec: Optional[QuadratureSpec] = None) -> tuple[float, float]:
     if r < 0.0:
         raise ValueError(f"gamma functions are defined for r >= 0, got {r!r}")
-    if spec is not None and spec != DEFAULT_QUADRATURE:
-        return _compute_gamma_pair(r, spec)
+    special.require_domain(r, "bessel_j0")  # the node count and row grow with r
+    if spec is not None:
+        return _quadrature_gamma_pair(r, spec)
     return _default_gamma_pair(float(r))
 
 
 def gamma1(r: float, spec: Optional[QuadratureSpec] = None) -> float:
-    """Triple-integral correction coefficient (first of the pair)."""
+    """Triple-integral correction coefficient (first of the pair); a spec
+    selects the adaptive-quadrature oracle of the spectral route, uncached."""
     return _gamma_pair(r, spec)[0]
 
 
 def gamma2(r: float, spec: Optional[QuadratureSpec] = None) -> float:
-    """Double-integral correction coefficient (second of the pair)."""
+    """Double-integral correction coefficient (second of the pair); as gamma1."""
     return _gamma_pair(r, spec)[1]
 
 

@@ -1,9 +1,10 @@
-"""Special functions and adaptive quadrature.
+"""Special functions and quadrature.
 
-Provides Bessel J0/J1, zeros of J0, Struve H0, an adaptive
-Gauss-Kronrod integrator and precomputed cumulative integrals. The
-Bessel/Struve routines target absolute error 1e-12 / 1e-10 on the
-working domain |x| <= 50; quadrature tolerances are caller-controlled.
+Bessel J0/J1, the zeros of J0 and Struve H0 derive from one Bessel row
+J_0..J_K(x) (Miller's backward recurrence), with absolute error 1e-12 on
+the working domain |x| <= 50. Also a fixed Gauss-Legendre rule, and an
+adaptive Gauss-Kronrod integrator with precomputed cumulative integrals,
+whose tolerances are caller-controlled (the slow constants' oracle).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 BESSEL_DOMAIN = 50.0
-_SERIES_CUTOFF = 16.0  # power series below, asymptotic expansion above
 _MAX_PANELS = 200_000
 _CUMULATIVE_PANELS = 512  # uniform panel grid of CumulativeIntegral
 
@@ -53,64 +53,39 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
-# Bessel J0, J1 and Struve H0
+# Bessel J0, J1 and Struve H0 from one Bessel row
 
-def _bessel_series(nu: int, x: float) -> float:
-    # Ascending series in extended precision; cancellation near the cutoff
-    # would otherwise eat the 1e-12 budget (terms peak near 1e5 at x=16).
-    q = np.longdouble(x) * np.longdouble(x) / 4.0
-    term = np.longdouble(1.0) if nu == 0 else np.longdouble(x) / 2.0
-    total = term
-    k = 1
-    while True:
-        term = -term * q / np.longdouble(k * k if nu == 0 else k * (k + 1))
-        total += term
-        if abs(term) < np.longdouble(1e-24) * (1.0 + abs(total)):
-            return float(total)
-        k += 1
-        if k > 80:  # unreachable for |x| <= 16
-            raise ArithmeticError("Bessel series failed to converge")
+def bessel_row(x: float) -> np.ndarray:
+    """J_0(x), ..., J_K(x) for |x| <= 200, with K = int(|x| + 12 |x|^(1/3)) + 8,
+    past which every J_k(x) is below 1e-17.
 
-
-def _bessel_asymptotic(nu: int, x: float) -> float:
-    # Hankel expansion J_nu(x) ~ sqrt(2/(pi x)) [P cos(chi) - Q sin(chi)],
-    # chi = x - (2 nu + 1) pi/4; coefficient recurrence in mu = 4 nu^2,
-    # truncated at the smallest term.
-    mu = 4.0 * nu * nu
-    chi = x - (2 * nu + 1) * math.pi / 4.0
-    p_sum, q_sum = 0.0, 0.0
-    term = 1.0
-    sign = 1.0
-    m = 0
-    prev = math.inf
-    while m <= 40:
-        mag = abs(term)
-        if mag >= prev or mag < 1e-17:
-            break
-        prev = mag
-        if m % 2 == 0:
-            p_sum += sign * term
-        else:
-            q_sum += sign * term
-            sign = -sign
-        m += 1
-        term *= (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    return amp * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-
-
-def _j0_raw(x: float) -> float:
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
+    from (J_{K+1}, J_K) ~ (0, 1) and normalised by J_0 + 2 sum J_{2k} = 1
+    (Abramowitz & Stegun 9.1.27, 9.1.46): absolute error about 1e-15 on
+    |x| <= 50. Below |x| = 1e-5, where 2k/x can overflow, the ascending
+    series (x/2)^k / k! (1 - (x/2)^2 / (k+1)) is exact to rounding.
+    """
+    if not abs(x) <= 4.0 * BESSEL_DOMAIN:
+        raise ValueError(f"bessel_row argument {x!r} outside |x| <= {4.0 * BESSEL_DOMAIN}")
     ax = abs(x)
-    return _bessel_series(0, ax) if ax <= _SERIES_CUTOFF else _bessel_asymptotic(0, ax)
+    top = int(ax + 12.0 * ax ** (1.0 / 3.0)) + 8
+    if ax < 1e-5:
+        h, k = 0.5 * ax, np.arange(1, top + 1)
+        row = np.cumprod(np.r_[1.0, h / k]) * (1.0 - h * h / np.arange(1, top + 2))
+    else:
+        f = [0.0] * (top + 2)
+        f[top] = 1.0
+        for k in range(top, 0, -1):
+            f[k - 1] = 2 * k / ax * f[k] - f[k + 1]
+        row = np.array(f[:-1])
+        row /= row[0] + 2.0 * row[2::2].sum()
+    if x < 0.0:
+        row[1::2] = -row[1::2]
+    return row
 
 
-def _j1_raw(x: float) -> float:
-    ax = abs(x)
-    val = _bessel_series(1, ax) if ax <= _SERIES_CUTOFF else _bessel_asymptotic(1, ax)
-    return -val if x < 0.0 else val
-
-
-def _require_domain(x: float, name: str) -> None:
+def require_domain(x: float, name: str) -> None:
+    """Raise ValueError, naming the function, unless x is finite with |x| <= 50."""
     if not math.isfinite(x):
         raise ValueError(f"{name} requires a finite argument, got {x!r}")
     if abs(x) > BESSEL_DOMAIN:
@@ -121,14 +96,14 @@ def _require_domain(x: float, name: str) -> None:
 
 def bessel_j0(x: float) -> float:
     """Bessel function J0(x), absolute error < 1e-12 for |x| <= 50."""
-    _require_domain(x, "bessel_j0")
-    return _j0_raw(x)
+    require_domain(x, "bessel_j0")
+    return float(bessel_row(x)[0])
 
 
 def bessel_j1(x: float) -> float:
     """Bessel function J1(x) on |x| <= 50 (odd in x)."""
-    _require_domain(x, "bessel_j1")
-    return _j1_raw(x)
+    require_domain(x, "bessel_j1")
+    return float(bessel_row(x)[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,7 +112,8 @@ def bessel_j0_zero(j: int) -> float:
 
     McMahon's asymptotic guess refined by Newton iteration on J0
     (J0' = -J1); falls back to bisection on the single-zero bracket
-    ((j - 3/4) pi, (j + 1/4) pi) if an iterate escapes it.
+    ((j - 3/4) pi, (j + 1/4) pi) if an iterate escapes it. Past beta = 150
+    the guess is final (its next term, 1.8 / beta^7, is below 1e-15).
     """
     if not isinstance(j, int) or isinstance(j, bool):
         raise ValueError(f"zero index must be an integer, got {j!r}")
@@ -145,29 +121,31 @@ def bessel_j0_zero(j: int) -> float:
         raise ValueError(f"zero index must be >= 1, got {j}")
     beta = (j - 0.25) * math.pi
     x = beta + 1.0 / (8.0 * beta) - 31.0 / (384.0 * beta**3) + 3779.0 / (15360.0 * beta**5)
+    if beta > 150.0:
+        return x
     lo, hi = (j - 0.75) * math.pi, (j + 0.25) * math.pi
     for _ in range(12):
-        step = _j0_raw(x) / _j1_raw(x)  # Newton: x - J0/J0' = x + J0/J1
-        x_new = x + step
+        j0, j1 = bessel_row(x)[:2]
+        x_new = x + float(j0 / j1)  # Newton: x - J0/J0' = x + J0/J1
         if not lo < x_new < hi:
             x = _bisect_j0_zero(lo, hi)
             break
-        converged = abs(step) < 4e-16 * x_new
+        converged = abs(x_new - x) < 4e-16 * x_new
         x = x_new
         if converged:
             break
-    if abs(_j0_raw(x)) > 1e-13:
+    if abs(bessel_row(x)[0]) > 1e-13:
         x = _bisect_j0_zero(lo, hi)
     return x
 
 
 def _bisect_j0_zero(lo: float, hi: float) -> float:
-    flo = _j0_raw(lo)
+    flo = bessel_row(lo)[0]
     if flo == 0.0:
         return lo
     while hi - lo > 1e-16 * hi:
         mid = 0.5 * (lo + hi)
-        fm = _j0_raw(mid)
+        fm = bessel_row(mid)[0]
         if fm == 0.0:
             return mid
         if (flo > 0.0) == (fm > 0.0):
@@ -178,31 +156,37 @@ def _bisect_j0_zero(lo: float, hi: float) -> float:
 
 
 def struve_h0(x: float) -> float:
-    """Struve function H0(x), absolute error < 1e-10 for |x| <= 50. Odd in x."""
-    _require_domain(x, "struve_h0")
-    ax = abs(x)
-    if ax <= _SERIES_CUTOFF:
-        # Ascending series: t_0 = (2/pi) x, t_k = -t_{k-1} x^2/(2k+1)^2.
-        xl = np.longdouble(ax)
-        term = (2.0 / np.longdouble(math.pi)) * xl
-        total = term
-        k = 1
-        while True:
-            term = -term * xl * xl / np.longdouble((2 * k + 1) * (2 * k + 1))
-            total += term
-            if abs(term) < np.longdouble(1e-24) * (1.0 + abs(total)):
-                break
-            k += 1
-            if k > 80:
-                raise ArithmeticError("Struve series failed to converge")
-        val = float(total)
-    else:
-        # Integral representation H0(x) = (2/pi) int_0^{pi/2} sin(x cos t) dt.
-        val = (2.0 / math.pi) * integrate(
-            lambda th: math.sin(ax * math.cos(th)), 0.0, math.pi / 2.0,
-            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_refinements=30),
-        )
-    return -val if x < 0.0 else val
+    """Struve function H0(x) = (4/pi) sum_{k odd} J_k(x) / k, absolute
+    error < 1e-12 for |x| <= 50. Odd in x."""
+    require_domain(x, "struve_h0")
+    row = bessel_row(x)
+    return float(4.0 / math.pi * (row[1::2] / np.arange(1, row.size, 2)).sum())
+
+
+# ---------------------------------------------------------------------------
+# Fixed Gauss-Legendre rule
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton iteration on the three-term Legendre recurrence from the guess
+    -cos(pi (i - 1/4) / (n + 1/2)), all nodes at once; no eigenproblem.
+    Nodes ascend. The read-only arrays are shared between callers.
+    """
+    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(20):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        x = x - dx
+        if np.abs(dx).max() < 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,14 @@ from spinhf.analytic import (
 )
 from spinhf.model import TWO_PI, DriveParams, hamiltonian_transformed, initial_gauge_factor
 from spinhf.numeric import hf_average, integrate_schrodinger, resonance_sweep
-from spinhf.special import QuadratureSpec
+from spinhf.special import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from spinhf.su2 import Spinor, Vec3, expect_sz
 
 R1 = 2.404825557695773
 
 # Frozen from high-resolution independent evaluations (cumulative Simpson
-# on the unreduced integrals, 1e-12 target); the looser two are the values
-# the adaptive quadrature in the package converges to.
+# on the unreduced integrals, 1e-12 target); the other gamma values are
+# those the package's adaptive quadrature converges to.
 GAMMA1_AT_1_ORACLE = -0.6845326710662112
 GAMMA2_AT_1_ORACLE = -0.3939762631457828
 GAMMA1_AT_1 = -0.6845326710661928
@@ -109,6 +109,14 @@ def test_gamma_vanish_without_drive():
 def test_gamma_rejects_negative_argument():
     with pytest.raises(ValueError):
         gamma1(-0.5)
+    # outside the Bessel domain both routes raise before any work
+    for r in (50.5, 1e9):
+        for spec in (None, DEFAULT_QUADRATURE):
+            with pytest.raises(ValueError, match=r"^bessel_j0 argument \|x\| = .* outside"):
+                gamma1(r, spec)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^bessel_j0 requires a finite argument"):
+            gamma2(r)
 
 
 def test_gamma1_at_zero_helper():
@@ -138,6 +146,54 @@ def test_gamma_cache_thread_safe():
         t.join()
     assert len(results) == 8
     assert all(v == results[0] for v in results)
+
+
+def test_spectral_gamma_pair_matches_quadrature_oracle():
+    # the spec route is the adaptive-quadrature oracle, independent of the
+    # Bessel row; every J0 zero in the domain is included
+    zeros = [special.bessel_j0_zero(j) for j in range(1, 17)]
+    assert zeros[-1] < special.BESSEL_DOMAIN < special.bessel_j0_zero(17)
+    for r in [float(r) for r in np.linspace(0.0, 50.0, 11)] + [0.3, 16.0, 16.1] + zeros:
+        assert abs(gamma1(r) - gamma1(r, DEFAULT_QUADRATURE)) < 1e-12, r
+        assert abs(gamma2(r) - gamma2(r, DEFAULT_QUADRATURE)) < 1e-12, r
+
+
+def test_gamma_node_count_has_converged(monkeypatch):
+    # doubling the Gauss-Legendre rule moves nothing, at the top of the
+    # domain and at r = 16, where 8r + 128 hits the 256-node rung exactly
+    rule = special.gauss_legendre
+    for r in (16.0, 50.0):
+        base = analytic._default_gamma_pair.__wrapped__(r)
+        monkeypatch.setattr(special, "gauss_legendre", lambda n: rule(2 * n))
+        doubled = analytic._default_gamma_pair.__wrapped__(r)
+        monkeypatch.setattr(special, "gauss_legendre", rule)
+        assert abs(base[0] - doubled[0]) < 1e-13 and abs(base[1] - doubled[1]) < 1e-13, r
+
+
+def test_gamma_cache_is_bounded():
+    info = analytic._default_gamma_pair.cache_info()
+    assert info.maxsize is not None
+    for r in np.linspace(0.01, 0.02, 1000):  # fresh r, not used elsewhere
+        gamma1(float(r))
+    assert analytic._default_gamma_pair.cache_info().currsize <= info.maxsize
+
+
+def test_slow_constants_at_small_r():
+    # leading terms of the small-r series: a = -4 J1 cos phi - (r^3/36) cos 3 phi,
+    # b = (r^2/4 - r^4/48) sin 2 phi + (r^4/384) sin 4 phi, gamma1 = -r^2,
+    # gamma2 = -r^2/2; 2k/r overflows for the smallest r
+    phi = 0.7
+    for r in (0.0, 5e-324, 1e-300, 1e-12, 1e-3):
+        a, b = ab_funcs(r, phi)
+        j1 = r / 2.0 - r**3 / 16.0 + r**5 / 384.0
+        a_ser = -4.0 * j1 * math.cos(phi) - r**3 / 36.0 * math.cos(3 * phi)
+        b_ser = (r * r / 4.0 - r**4 / 48.0) * math.sin(2 * phi) + r**4 / 384.0 * math.sin(4 * phi)
+        assert abs(a - a_ser) <= r**5 + 1e-15 * abs(a_ser) + 4.0 * math.ulp(a_ser), r
+        assert abs(b - b_ser) <= r**6 + 1e-15 * abs(b_ser) + 4.0 * math.ulp(b_ser), r
+        g1, g2 = gamma1(r), gamma2(r)
+        assert math.isfinite(g1) and math.isfinite(g2)
+        assert abs(g1 + r * r) <= r**4 + 1e-14 * r * r, r
+        assert abs(g2 + r * r / 2.0) <= r**4 + 1e-13, r
 
 
 # --- phase coefficients a, b -------------------------------------------------
@@ -170,6 +226,31 @@ def test_ab_against_trapezoid_oracle():
             a, b = ab_funcs(r, phi)
             assert abs(a - a_ref) < 1e-8
             assert abs(b - b_ref) < 1e-8
+
+
+def test_ab_and_sigma_op_against_quadrature():
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+
+    def running(f, lo, hi):
+        return integrate(f, lo, hi, spec) if lo <= hi else -integrate(f, hi, lo, spec)
+
+    for r in (0.4, R1, 8.65, 27.5, 50.0):
+        cos_r = lambda u: math.cos(r * math.sin(u))
+        sin_r = lambda u: math.sin(r * math.sin(u))
+        j0 = running(cos_r, 0.0, math.pi) / math.pi
+        pih0 = running(sin_r, 0.0, math.pi)
+        for phi in (-7.5, -math.pi, -1.3, 0.0, 0.7, math.pi, 5.0, TWO_PI):
+            a, b = ab_funcs(r, phi)
+            assert abs(a - (2.0 * running(sin_r, 0.0, phi) - pih0)) < 1e-12, (r, phi)
+            assert abs(b - 2.0 * (running(cos_r, 0.0, phi) - phi * j0)) < 1e-12, (r, phi)
+        for phi_hf in (0.9, 4.0):
+            p = params(omega_par=0.4, r=r, phi_hf=phi_hf)
+            for t0 in (-TWO_PI, -1.2, 0.0, 2.5, TWO_PI, 9.0):
+                ix = running(lambda u: math.cos(r * math.sin(u + phi_hf)) - j0, 0.0, t0)
+                iy = running(lambda u: math.sin(r * math.sin(u + phi_hf)), 0.0, t0)
+                s = sigma_op(t0, p)
+                assert abs(s.vx - (-0.5 * p.omega_perp * ix)) < 1e-12, (r, phi_hf, t0)
+                assert abs(s.vy - (-0.5 * p.omega_perp * iy)) < 1e-12, (r, phi_hf, t0)
 
 
 def test_struve_consistency_through_a():
@@ -722,9 +803,8 @@ def test_effective_quantities_on_branch():
 
 def test_one_record_per_parameter_set(monkeypatch):
     # The slow constants of a parameter set are derived once: one a/b
-    # evaluation, one gamma lookup and one J0 per new record (plus the one
-    # inside ab_funcs). The gamma pair is warmed first because its
-    # quadrature, with its own J0, is cached per r on its own.
+    # evaluation, one gamma lookup and one J0 per new record. The gamma
+    # pair is warmed first because it is cached per r on its own.
     p = params(omega_par=0.3, r=1.37, phi_hf=0.9)
     gamma1(p.r)
     calls = {"bessel_j0": 0, "ab_funcs": 0, "_gamma_pair": 0}

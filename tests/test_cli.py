@@ -83,12 +83,20 @@ def test_constants_zero_listing_and_table(capsys):
 
 
 def test_constants_reports_per_entry_errors(capsys):
-    # 60 is outside the special-function domain; the cell carries the error
-    code = main(["constants", "--zeros", "0", "--gamma-at", "60"])
+    # 60 is outside the special-function domain; the cell carries the error,
+    # for the gamma pair too (whose node count would grow with r)
+    code = main(["constants", "--zeros", "0", "--gamma-at", "60,inf,nan"])
     assert code == 0
     out = capsys.readouterr().out
     assert "error:" in out
     assert out.startswith("r,J0,H0,gamma1,gamma2")
+    rows = out.splitlines()[1:]
+    assert rows[0].split(",")[3] == (
+        "error: bessel_j0 argument |x| = 60.0 outside the working domain |x| <= 50.0"
+    )
+    for row, x in zip(rows[1:], ("inf", "nan")):
+        # J0, gamma1 and gamma2 (the message holds a comma)
+        assert row.count(f",error: bessel_j0 requires a finite argument, got {x}") == 3
 
 
 # --- evolve ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ from spinhf.special import (
     bessel_j0,
     bessel_j0_zero,
     bessel_j1,
+    bessel_row,
+    gauss_legendre,
     integrate,
     struve_h0,
 )
@@ -95,6 +97,70 @@ def test_domain_guard():
         bessel_j1(-1e3)
     with pytest.raises(ValueError):
         bessel_j0(math.inf)
+    for fn in (bessel_j0, bessel_j1, struve_h0):
+        name = fn.__name__
+        outside = rf"^{name} argument \|x\| = 50\.\d+ outside the working domain \|x\| <= 50\.0$"
+        for x in (-50.5, 50.000001):
+            with pytest.raises(ValueError, match=outside):
+                fn(x)
+        with pytest.raises(ValueError, match=rf"^{name} requires a finite argument, got nan$"):
+            fn(math.nan)
+
+
+def test_row_range_and_large_zero_index():
+    # the row's cost grows with |x|, so it has a range; zeros past it come
+    # from McMahon's expansion alone
+    assert bessel_row(-200.0).size == bessel_row(200.0).size
+    for x in (200.5, -1e9, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bessel_row(x)
+    for j in (47, 48, 10**9):
+        beta = (j - 0.25) * math.pi
+        assert abs(bessel_j0_zero(j) - beta) < 1.0 / beta
+    assert bessel_j0_zero(48) > bessel_j0_zero(47) + 3.0
+
+
+def test_small_arguments_match_ascending_series():
+    # 2k/x overflows for the smallest x, so the row needs its own case
+    # there; the three-term series are exact to rounding for x <= 1e-3
+    for x in (0.0, 5e-324, 1e-300, 1e-12, 1e-3):
+        want = {
+            bessel_j0: 1.0 - x * x / 4.0 + x**4 / 64.0,
+            bessel_j1: x / 2.0 - x**3 / 16.0 + x**5 / 384.0,
+            struve_h0: 2.0 / math.pi * (x - x**3 / 9.0 + x**5 / 225.0),
+        }
+        for fn, w in want.items():
+            got = fn(x)
+            assert math.isfinite(got)
+            assert abs(got - w) <= 1e-15 * abs(w) + 2.0 * math.ulp(w), (fn.__name__, x)
+        row = bessel_row(x)
+        assert np.all(np.isfinite(row))
+        j2 = x * x / 8.0 - x**4 / 96.0 + x**6 / 3072.0
+        assert abs(row[2] - j2) <= 1e-15 * j2 + 2.0 * math.ulp(j2)
+
+
+def test_parity_at_negative_arguments():
+    for x in (5e-324, 1e-300, 1e-3, 0.7, 2.404825557695773, 17.3, 50.0):
+        assert bessel_j0(-x) == bessel_j0(x)
+        assert bessel_j1(-x) == -bessel_j1(x)
+        assert struve_h0(-x) == -struve_h0(x)
+        row, mirrored = bessel_row(x), bessel_row(-x)
+        assert np.array_equal(mirrored[::2], row[::2])
+        assert np.array_equal(mirrored[1::2], -row[1::2])
+
+
+def test_bessel_row_against_scipy():
+    # optional independent oracle; scipy is never a runtime dependency
+    sp = pytest.importorskip("scipy.special")
+    for x in np.concatenate([np.linspace(0.0, 50.0, 401), [1e-5, 1e-5 * (1 - 1e-12), 62.0]]):
+        row = bessel_row(float(x))
+        k = np.arange(row.size + 40)
+        want = sp.jv(k, x)
+        assert np.abs(row - want[: row.size]).max() < 1e-13, x
+        assert np.abs(want[row.size:]).max() < 1e-17, x  # the truncated tail
+        if x <= BESSEL_DOMAIN:
+            # scipy's own H0 is off by up to 1.1e-13 near x = 26
+            assert abs(struve_h0(float(x)) - sp.struve(0, x)) < 1e-12, x
 
 
 def test_zero_reference_values():
@@ -140,6 +206,31 @@ def test_struve_reference_values():
         assert abs(struve_h0(x) - want) < 1e-10, x
         assert abs(struve_h0(-x) + want) < 1e-10  # odd function
     assert struve_h0(0.0) == 0.0
+
+
+def test_struve_against_quadrature():
+    # H0(x) = (1/pi) int_0^pi sin(x sin u) du, across the domain
+    for x in (0.3, 3.1, 15.9, 16.1, 27.5, 49.9):
+        ref = integrate(lambda u: math.sin(x * math.sin(u)), 0.0, math.pi,
+                        QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)) / math.pi
+        assert abs(struve_h0(x) - ref) < 1e-12, x
+
+
+def test_gauss_legendre_rule():
+    for n in (1, 2, 5, 128, 1024):
+        x, w = gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert np.abs(x + x[::-1]).max() < 1e-15
+        # exact for polynomials of degree 2n - 1
+        for deg in (0, 1, 2 * n - 2, 2 * n - 1):
+            want = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+            assert abs(w @ x**deg - want) < 1e-14, (n, deg)
+    x, w = gauss_legendre(1024)
+    assert abs(w @ np.cos(300.0 * x) - 2.0 * math.sin(300.0) / 300.0) < 1e-14
+    assert gauss_legendre(128)[0] is gauss_legendre(128)[0]  # cached
+    with pytest.raises(ValueError):
+        x[0] = 0.0  # shared, so read-only
 
 
 def test_struve_integral_representation():
