@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .analytic import (
     EffectiveQuantities,
-    InconsistentParametersError,
     MethodId,
     ResonantBranchError,
     amplitude_closed,
@@ -75,7 +74,7 @@ __all__ = [
     "DriveParams", "theta", "hamiltonian_lab", "hamiltonian_transformed",
     "gauge_factor", "initial_gauge_factor",
     "MethodId", "EffectiveQuantities", "effective_quantities",
-    "ResonantBranchError", "InconsistentParametersError",
+    "ResonantBranchError",
     "omega0", "omega_eff", "omega_ms", "h_eff", "ms_hamiltonian",
     "gamma1", "gamma2", "gamma1_at_zero", "eta",
     "propagator", "expect_sz_closed", "amplitude_closed", "slow_initial_state",

@@ -44,13 +44,6 @@ class ResonantBranchError(ValueError):
     """The requested quantity is undefined where the averaged generator vanishes."""
 
 
-class InconsistentParametersError(ValueError):
-    """Degenerate-branch parameters whose r is not at a Bessel zero.
-
-    Cannot be produced by exact construction; guards float drift in r.
-    """
-
-
 def omega0(p: DriveParams) -> float:
     """Rabi frequency without the HF drive: sqrt((1+w_par)^2 + w_perp^2)."""
     return math.hypot(1.0 + p.omega_par, p.omega_perp)
@@ -59,14 +52,11 @@ def omega0(p: DriveParams) -> float:
 def is_resonant_branch(p: DriveParams) -> bool:
     """True when the averaged generator vanishes: w_par = -1 and J0(r) = 0.
 
-    The trivially field-free case w_perp = 0 is excluded; it is handled
-    by the regular formulas (which then give frozen dynamics as well).
+    Both hold to within RESONANCE_EPS. The trivially field-free case
+    w_perp = 0 is excluded; it is handled by the regular formulas (which
+    then give frozen dynamics as well).
     """
-    return (
-        p.omega_perp != 0.0
-        and abs(1.0 + p.omega_par) < RESONANCE_EPS
-        and abs(special.bessel_j0(p.r)) < RESONANCE_EPS
-    )
+    return _record(p).resonant_branch
 
 
 def h0_op(p: DriveParams) -> PauliOperator:
@@ -192,16 +182,6 @@ def gamma1_at_zero(j: int) -> float:
     return gamma1(special.bessel_j0_zero(j))
 
 
-def _branch_gamma1(r: float) -> Optional[float]:
-    """gamma1 at the Bessel zero r_j that r sits on; None if r is not
-    within RESONANCE_EPS of one."""
-    # r_j lies in ((j - 3/4) pi, (j + 1/4) pi), so this is the only candidate
-    j = round(r / math.pi + 0.25)
-    if abs(special.bessel_j0_zero(j) - r) > RESONANCE_EPS:
-        return None
-    return gamma1_at_zero(j)
-
-
 # ---------------------------------------------------------------------------
 # The slow solution of one parameter set
 
@@ -212,9 +192,9 @@ class EffectiveQuantities:
 
     m is the real vector of the first-order secular operator i m.sigma,
     q the second-order secular vector built from the alphas, n the unit
-    axis of the averaged generator (None where it vanishes). Omega_ms and
-    h_ms are None only inside the cache, for degenerate-branch parameters
-    whose r misses the Bessel zero; effective_quantities raises there.
+    axis of the averaged generator (None where it vanishes). On the
+    degenerate branch eta is None, and Omega_ms and h_ms come from
+    gamma1(r).
     """
 
     Omega0: float
@@ -231,25 +211,23 @@ class EffectiveQuantities:
     gamma1: float
     gamma2: float
     eta: Optional[float]
-    Omega_ms: Optional[float]
+    Omega_ms: float
     resonant_branch: bool
     h_eff: PauliOperator = field(repr=False)
-    h_ms: Optional[PauliOperator] = field(repr=False)
+    h_ms: PauliOperator = field(repr=False)
 
 
 @functools.lru_cache(maxsize=64)
 def _record(p: DriveParams) -> EffectiveQuantities:
-    """Build the slow solution of p: the one place that tests the branch.
-
-    A degenerate branch off its Bessel zero leaves Omega_ms and h_ms None
-    for the ms readers to reject, so the averaged quantities stay usable
-    there.
+    """Build the slow solution of p: the one place that tests the branch,
+    by w_par = -1 and J0(r) = 0 to within RESONANCE_EPS (w_perp != 0).
+    There the corrected generator takes gamma1 at r itself.
     """
     j0 = special.bessel_j0(p.r)
     a, b = ab_funcs(p.r, p.phi_hf)
     g1, g2 = _gamma_pair(p.r)
-    branch = is_resonant_branch(p)
     opar1 = 1.0 + p.omega_par
+    branch = p.omega_perp != 0.0 and abs(opar1) < RESONANCE_EPS and abs(j0) < RESONANCE_EPS
     ox = p.omega_perp * j0
     w = math.hypot(opar1, ox)
     h_eff = PauliOperator.hermitian(0.0, Vec3(-0.5 * p.omega_perp * j0, 0.0, -0.5 * opar1))
@@ -267,13 +245,10 @@ def _record(p: DriveParams) -> EffectiveQuantities:
         eta_, w_ms, h_ms = 0.0, w, h_eff  # eta vanishes identically
     elif branch:
         # the surviving term is the slow x rotation with coefficient
-        # -eps^2 (w_perp/2)^3 gamma1 at the Bessel zero
-        eta_, w_ms, h_ms = None, None, None
-        g1_zero = _branch_gamma1(p.r)
-        if g1_zero is not None:
-            w_ms = 0.25 * p.epsilon**2 * p.omega_perp**3 * g1_zero
-            coef = -(p.epsilon**2) * half_perp**3 * g1_zero
-            h_ms = PauliOperator.hermitian(0.0, Vec3(coef, 0.0, 0.0))
+        # -eps^2 (w_perp/2)^3 gamma1(r)
+        eta_ = None
+        w_ms = 0.25 * p.epsilon**2 * p.omega_perp**3 * g1
+        h_ms = PauliOperator.hermitian(0.0, Vec3(-(p.epsilon**2) * half_perp**3 * g1, 0.0, 0.0))
     else:
         # the correction rescales the averaged generator by (1 + eps^2 eta)
         ratio = p.omega_perp / w
@@ -291,16 +266,9 @@ def _record(p: DriveParams) -> EffectiveQuantities:
 
 
 def effective_quantities(p: DriveParams) -> EffectiveQuantities:
-    """The slow solution of p (cached per parameter set). Raises
-    InconsistentParametersError on the degenerate branch when r misses
-    its Bessel zero, where the corrected generator is undefined."""
-    q = _record(p)
-    if q.h_ms is None:
-        raise InconsistentParametersError(
-            f"degenerate branch requires r at a Bessel zero; r = {p.r!r} is not "
-            f"within {RESONANCE_EPS} of one"
-        )
-    return q
+    """The slow solution of p (cached per parameter set); on the
+    degenerate branch its corrected generator takes gamma1(r)."""
+    return _record(p)
 
 
 def omega_eff(p: DriveParams) -> float:
@@ -357,15 +325,15 @@ def ms_hamiltonian(p: DriveParams) -> PauliOperator:
 
     Off the degenerate branch it rescales the averaged generator by
     (1 + eps^2 eta); on it the surviving term is the slow x rotation
-    with coefficient -eps^2 (w_perp/2)^3 gamma1 at the Bessel zero.
+    with coefficient -eps^2 (w_perp/2)^3 gamma1(r).
     """
-    return effective_quantities(p).h_ms
+    return _record(p).h_ms
 
 
 def omega_ms(p: DriveParams) -> float:
     """Corrected slow frequency; on the degenerate branch the signed
-    eigenfrequency (eps^2 / 4) w_perp^3 gamma1(r_j)."""
-    return effective_quantities(p).Omega_ms
+    eigenfrequency (eps^2 / 4) w_perp^3 gamma1(r)."""
+    return _record(p).Omega_ms
 
 
 # ---------------------------------------------------------------------------

@@ -168,12 +168,6 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_CONFIG_KEYS = {
-    "subcommand", "omega_perp", "omega_par", "Omega_HF", "r", "phi_hf",
-    "initial", "methods", "t_start", "t_end", "sample_dt", "tol", "grid",
-    "hf_average", "format", "out", "zeros", "gamma_at",
-}
-
 _DEFAULTS = {
     "omega_perp": 3.0, "omega_par": 0.0, "Omega_HF": 50.0, "r": 0.0,
     "phi_hf": 0.0, "initial": "plus", "methods": "numeric",
@@ -181,6 +175,7 @@ _DEFAULTS = {
     "grid": None, "hf_average": False, "format": "csv",
     "out": None, "zeros": 3, "gamma_at": None,
 }
+_CONFIG_KEYS = {"subcommand", *_DEFAULTS}
 
 
 def _merge_settings(args: argparse.Namespace, subcommand: str) -> dict:
@@ -222,6 +217,11 @@ def _merge_settings(args: argparse.Namespace, subcommand: str) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    # checked before any work, so a bad value cannot truncate --out
+    if merged["format"] not in ("csv", "json"):
+        raise UsageError(f"unknown format {merged['format']!r}")
+    if not isinstance(merged["hf_average"], bool):
+        raise UsageError(f"hf_average must be true or false, got {merged['hf_average']!r}")
     return merged
 
 
@@ -315,41 +315,35 @@ def _evolve_columns(s: dict, p: DriveParams, init: Spinor, methods: list[str]):
         float(parse_scalar(s["sample_dt"])) if s["sample_dt"] is not None
         else numeric.default_sample_dt(p)
     )
-    hf_avg = bool(s["hf_average"])
     columns: dict[str, np.ndarray] = {}
 
     if "numeric" in methods:
         series, _ = numeric.evolve_floquet(
             p, init, t_end, sample_dt=sample_dt, tol=float(s["tol"])
         )
-        if hf_avg:
+        if s["hf_average"]:
             averaged = numeric.hf_average(series, p)
-            grid_full = averaged.times
-            vals_avg = averaged.values
-            m = grid_full.size
+            grid = averaged.times
+            m = grid.size
             # window centers fall on samples (odd window) or midway
             # between them (even window); align the raw column by index
             w = round((TWO_PI / p.Omega_HF) / sample_dt)
             if w % 2 == 0:
                 raw_mid = 0.5 * (series.values[:-1] + series.values[1:])
-                raw_on_grid = raw_mid[w // 2 - 1 : w // 2 - 1 + m]
+                columns["numeric"] = raw_mid[w // 2 - 1 : w // 2 - 1 + m]
             else:
-                raw_on_grid = series.values[w // 2 : w // 2 + m]
+                columns["numeric"] = series.values[w // 2 : w // 2 + m]
+            columns["numeric_avg"] = averaged.values
         else:
-            grid_full = series.times
-            raw_on_grid = series.values
-            vals_avg = None
-        keep = grid_full >= t_start - 1e-12 * max(1.0, t_start)
-        grid = grid_full[keep]
-        columns["numeric"] = raw_on_grid[keep]
-        if vals_avg is not None:
-            columns["numeric_avg"] = vals_avg[keep]
+            grid = series.times
+            columns["numeric"] = series.values
     else:
-        k0 = math.ceil(t_start / sample_dt - 1e-9)
-        k1 = math.floor(t_end / sample_dt + 1e-9)
-        if k1 < k0:
-            raise UsageError("window shorter than one sample interval")
-        grid = np.arange(k0, k1 + 1) * sample_dt
+        grid = numeric.sample_times(t_end, sample_dt)
+    keep = grid >= t_start - 1e-12 * max(1.0, t_start)
+    if not keep.any():
+        raise UsageError("window shorter than one sample interval")
+    grid = grid[keep]
+    columns = {name: col[keep] for name, col in columns.items()}
 
     for name in methods:
         if name == "numeric":
@@ -381,7 +375,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             for lo in range(0, grid.size, _CSV_CHUNK):
                 cells = [[f"{x:.12e}" for x in c[lo : lo + _CSV_CHUNK].tolist()] for c in cols]
                 fp.writelines(",".join(row) + "\n" for row in zip(*cells))
-        elif s["format"] == "json":
+        else:
             _json_dump(
                 {
                     "schema": "spinhf/evolve/1",
@@ -389,14 +383,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                     "params": p.to_json_dict(),
                     "initial": s["initial"],
                     "tol": float(s["tol"]),
-                    "hf_average": bool(s["hf_average"]),
+                    "hf_average": s["hf_average"],
                     "t": [float(x) for x in grid],
                     "traces": {k: [float(x) for x in v] for k, v in columns.items()},
                 },
                 fp,
             )
-        else:
-            raise UsageError(f"unknown format {s['format']!r}")
     finally:
         if close:
             fp.close()
@@ -433,13 +425,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if s["format"] == "csv":
             result.to_csv(fp)
-        elif s["format"] == "json":
+        else:
             payload = result.to_json_dict()
             payload["version"] = __version__
             payload["tol"] = float(s["tol"])
             _json_dump(payload, fp)
-        else:
-            raise UsageError(f"unknown format {s['format']!r}")
     finally:
         if close:
             fp.close()
@@ -479,7 +469,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name in methods:
         ga, ca = _evolve_columns(s, p_a, init_a, [name])
         gb, cb = _evolve_columns(s, p_b, init_b, [name])
-        if name == "numeric" and bool(s["hf_average"]):
+        if name == "numeric" and s["hf_average"]:
             va, vb = ca["numeric_avg"], cb["numeric_avg"]
         else:
             va, vb = ca[name], cb[name]
@@ -498,7 +488,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "params": p_a.to_json_dict(),
                     "initial": init_spec,
                     "phase_shift": shift,
-                    "hf_average": bool(s["hf_average"]),
+                    "hf_average": s["hf_average"],
                     "max_deviation": report,
                 },
                 fp,

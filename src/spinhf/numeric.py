@@ -199,6 +199,20 @@ def default_sample_dt(p: DriveParams) -> float:
     return (TWO_PI / p.Omega_HF) / 32.0
 
 
+def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
+    """The sample grid k * sample_dt, k = 0, 1, ..., keeping exactly the
+    k with k * sample_dt <= t_end (integrate_schrodinger's samples)."""
+    if not sample_dt > 0.0:
+        raise ValueError(f"sample_dt must be > 0, got {sample_dt!r}")
+    # t_end / sample_dt rounds either way; step the floor to the exact last k
+    last = math.floor(t_end / sample_dt)
+    while (last + 1) * sample_dt <= t_end:
+        last += 1
+    while last * sample_dt > t_end:
+        last -= 1
+    return np.arange(last + 1) * sample_dt
+
+
 def integrate_schrodinger(
     p: DriveParams,
     init: Spinor,
@@ -447,10 +461,10 @@ def evolve_floquet(
 ) -> tuple[TimeSeries, Spinor]:
     """Solve i dpsi/dt = H(t) psi from t = 0 and sample <sigma_z>, stroboscopically.
 
-    Same sample grid (exact multiples of sample_dt up to t_end; default a
-    thirty-second of the HF period, which it need not divide), return
-    values and validation as integrate_schrodinger. In the rotating frame
-    (model.hamiltonian_transformed) the Hamiltonian has period
+    Same sample grid (sample_times: exact multiples of sample_dt up to
+    t_end; default a thirty-second of the HF period, which it need not
+    divide), return values and validation as integrate_schrodinger. In
+    the rotating frame (model.hamiltonian_transformed) the Hamiltonian has period
     T = 2 pi / Omega_HF, and <sigma_z> is the same in both frames. One
     period is split into N fourth-order Magnus substeps; N doubles from 64
     until U(T) moves by at most tol * T, and StiffnessError is raised past
@@ -464,24 +478,13 @@ def evolve_floquet(
         raise ValueError(f"t_end must be > 0, got {t_end!r}")
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
-    if sample_dt is None:
-        sample_dt = default_sample_dt(p)
-    if not sample_dt > 0.0:
-        raise ValueError(f"sample_dt must be > 0, got {sample_dt!r}")
+    times = sample_times(t_end, default_sample_dt(p) if sample_dt is None else sample_dt)
 
     span = min(TWO_PI / p.Omega_HF, t_end)
     table = _converged_table(p, span, tol)
     start = initial_gauge_factor(p).apply(init)
     psi0 = (start.up.real, start.up.imag, start.down.real, start.down.imag)
 
-    # t_end / sample_dt rounds either way; keep exactly the k with
-    # k * sample_dt <= t_end, the grid integrate_schrodinger samples
-    last = math.floor(t_end / sample_dt)
-    while (last + 1) * sample_dt <= t_end:
-        last += 1
-    while last * sample_dt > t_end:
-        last -= 1
-    times = np.arange(last + 1) * sample_dt
     # the samples, then t_end for the final state
     grid = np.append(times, t_end)
     values = np.empty_like(grid)

@@ -111,9 +111,9 @@ def bessel_j0_zero(j: int) -> float:
     """j-th positive zero of J0, strictly increasing in j.
 
     McMahon's asymptotic guess refined by Newton iteration on J0
-    (J0' = -J1); falls back to bisection on the single-zero bracket
-    ((j - 3/4) pi, (j + 1/4) pi) if an iterate escapes it. Past beta = 150
-    the guess is final (its next term, 1.8 / beta^7, is below 1e-15).
+    (J0' = -J1), which converges within four steps for every j it runs
+    at. Past beta = 150 (j >= 48) the guess is final (its next term,
+    1.8 / beta^7, is below 1e-15).
     """
     if not isinstance(j, int) or isinstance(j, bool):
         raise ValueError(f"zero index must be an integer, got {j!r}")
@@ -123,36 +123,14 @@ def bessel_j0_zero(j: int) -> float:
     x = beta + 1.0 / (8.0 * beta) - 31.0 / (384.0 * beta**3) + 3779.0 / (15360.0 * beta**5)
     if beta > 150.0:
         return x
-    lo, hi = (j - 0.75) * math.pi, (j + 0.25) * math.pi
     for _ in range(12):
         j0, j1 = bessel_row(x)[:2]
         x_new = x + float(j0 / j1)  # Newton: x - J0/J0' = x + J0/J1
-        if not lo < x_new < hi:
-            x = _bisect_j0_zero(lo, hi)
-            break
         converged = abs(x_new - x) < 4e-16 * x_new
         x = x_new
         if converged:
             break
-    if abs(bessel_row(x)[0]) > 1e-13:
-        x = _bisect_j0_zero(lo, hi)
     return x
-
-
-def _bisect_j0_zero(lo: float, hi: float) -> float:
-    flo = bessel_row(lo)[0]
-    if flo == 0.0:
-        return lo
-    while hi - lo > 1e-16 * hi:
-        mid = 0.5 * (lo + hi)
-        fm = bessel_row(mid)[0]
-        if fm == 0.0:
-            return mid
-        if (flo > 0.0) == (fm > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def struve_h0(x: float) -> float:

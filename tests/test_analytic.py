@@ -7,7 +7,6 @@ import pytest
 from spinhf import analytic, special, su2
 from spinhf.analytic import (
     EffectiveQuantities,
-    InconsistentParametersError,
     MethodId,
     ResonantBranchError,
     ab_funcs,
@@ -492,6 +491,8 @@ def test_ms_generator_without_transverse_field():
 
 
 def test_branch_requires_bessel_zero():
+    # r off its Bessel zero by 1.5e-9 still has |J0(r)| < RESONANCE_EPS:
+    # the branch generator takes gamma1 at r itself
     init = Spinor.superposition(0.6, 0.3)
     for j in (1, 2, 3):
         p = params(r=special.bessel_j0_zero(j) + 1.5e-9)
@@ -505,16 +506,32 @@ def test_branch_requires_bessel_zero():
         assert np.all(trace == trace[0]) and abs(trace[0] - init.bloch().z) < 1e-15
         kicked = slow_initial_state(p, init)
         assert abs(abs(kicked.up) ** 2 + abs(kicked.down) ** 2 - 1.0) < 1e-14
-        with pytest.raises(InconsistentParametersError):
-            ms_hamiltonian(p)
-        with pytest.raises(InconsistentParametersError):
-            omega_ms(p)
-        with pytest.raises(InconsistentParametersError):
-            amplitude_closed(MethodId.MULTI_SCALE, p)
-        with pytest.raises(InconsistentParametersError):
-            effective_quantities(p)
+        g = ms_hamiltonian(p)
+        assert g.vx == -(p.epsilon**2) * (0.5 * p.omega_perp) ** 3 * gamma1(p.r)
+        assert g.vy == 0 and g.vz == 0
+        assert omega_ms(p) == 0.25 * p.epsilon**2 * p.omega_perp**3 * gamma1(p.r)
+        assert effective_quantities(p).h_ms is g
+        assert amplitude_closed(MethodId.MULTI_SCALE, p) == 1.0
         with pytest.raises(ResonantBranchError):
             eta(p)
+
+
+def test_ms_continuous_across_branch_edge():
+    # |J0(r)| = RESONANCE_EPS at r_j +- d, d = RESONANCE_EPS / |J1(r_j)|.
+    # Off the branch the eta formula keeps the w_perp J0 term, so |Omega_ms|
+    # moves by about w_perp |J0| = 3e-9 across the edge and the generator
+    # by half that. Off the branch the sign of Omega_ms follows the
+    # averaged axis, so the magnitudes are compared.
+    for j in (1, 2, 3):
+        rj = special.bessel_j0_zero(j)
+        d = analytic.RESONANCE_EPS / abs(special.bessel_j1(rj))
+        for side in (-1.0, 1.0):
+            inside = params(r=rj + side * 0.99 * d)
+            outside = params(r=rj + side * 1.01 * d)
+            assert is_resonant_branch(inside) and not is_resonant_branch(outside)
+            assert abs(abs(omega_ms(inside)) - abs(omega_ms(outside))) < 1e-8
+            g_in, g_out = ms_hamiltonian(inside), ms_hamiltonian(outside)
+            assert abs(g_in.vx - g_out.vx) < 1e-8 and abs(g_out.vz) < 1e-8
 
 
 def test_branch_predicate():
@@ -824,8 +841,15 @@ def test_one_record_per_parameter_set(monkeypatch):
 
     effective_quantities(p)
     assert (calls["ab_funcs"], calls["_gamma_pair"]) == (1, 1)
-    assert calls["bessel_j0"] <= 2
+    assert calls["bessel_j0"] == 1
 
     calls.update(bessel_j0=0)
     resonance_sweep(p, [0.11, 0.22, 0.33, 0.44], ["avg", "ms", "numeric"])
-    assert calls["bessel_j0"] <= 8
+    assert calls["bessel_j0"] == 4
+
+    # on the branch too: the record and is_resonant_branch share its J0
+    calls.update(bessel_j0=0)
+    p = params(r=R1, phi_hf=0.917)
+    effective_quantities(p)
+    assert is_resonant_branch(p)
+    assert calls["bessel_j0"] == 1

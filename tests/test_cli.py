@@ -185,6 +185,39 @@ def test_evolve_short_averaging_window_is_usage_error(capsys):
     assert "shorter" in capsys.readouterr().err
 
 
+def test_evolve_sample_grid_is_independent_of_methods(capsys):
+    # 0.3 / 0.1 rounds below 3 and 3 * 0.1 > 0.3: the grid keeps exactly
+    # the multiples k * dt <= t_end, with or without the numeric engine
+    columns = []
+    for methods in ("avg", "avg,numeric"):
+        code = main(["evolve", "--t-end", "0.3", "--sample-dt", "0.1", "--methods", methods])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        columns.append([ln.split(",")[0] for ln in lines])
+    assert columns[0] == columns[1]
+    assert len(columns[0]) == 3
+    for methods in ("avg", "avg,numeric"):
+        code = main([
+            "evolve", "--t-start", "0.31", "--t-end", "0.35", "--sample-dt", "0.1",
+            "--methods", methods,
+        ])
+        assert code == 2
+        assert "window shorter than one sample interval" in capsys.readouterr().err
+        code = main(["evolve", "--t-end", "0.3", "--sample-dt", "0", "--methods", methods])
+        assert code == 2
+        assert "sample_dt must be > 0" in capsys.readouterr().err
+
+
+def test_evolve_ms_beside_bessel_zero(capsys):
+    # r1 typed to 11 digits sits 1.5e-9 off the zero, inside the branch
+    code = main([
+        "evolve", "--omega-perp", "3", "--omega-par", "-1", "--Omega-HF", "50",
+        "--r", "2.4048255592", "--phi-hf", "pi/2", "--t-end", "0.1", "--methods", "ms",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("t,ms\n")
+
+
 def test_negative_value_in_exponent_notation_is_not_a_flag(capsys):
     code = main([
         "evolve", "--omega-par", "-2.07e-05", "--t-end", "0.1", "--methods", "avg",
@@ -327,6 +360,24 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"grid": [-1, 0, 2], "methods": "avg", "jobs": 2}))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "unknown config keys: ['jobs']" in capsys.readouterr().err
+
+
+def test_config_bad_values_rejected_before_out_is_touched(tmp_path, capsys):
+    out = tmp_path / "keep.csv"
+    for bad, msg in (
+        ({"format": "xml"}, "unknown format 'xml'"),
+        ({"hf_average": "false"}, "hf_average must be true or false, got 'false'"),
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        for argv in (
+            ["evolve", "--t-end", "1", "--methods", "avg"],
+            ["sweep", "--grid", "-1", "0", "2", "--methods", "avg"],
+        ):
+            out.write_bytes(b"earlier output\n")
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+            assert msg in capsys.readouterr().err
+            assert out.read_bytes() == b"earlier output\n"
 
 
 def test_config_subcommand_mismatch(tmp_path, capsys):

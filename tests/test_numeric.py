@@ -327,6 +327,15 @@ def test_mini_sweep_matches_exact_amplitudes():
     assert res.failures == ()
 
 
+def test_sweep_beside_bessel_zero_has_no_failures():
+    # r1 + 1.5e-9 is on the degenerate branch by its J0; the numeric
+    # horizon reads the same branch frequency as the ms column
+    res = resonance_sweep(params(r=R1 + 1.5e-9), [-1.0], methods=("ms", "numeric"))
+    assert res.failures == ()
+    assert res.amplitudes["ms"][0] == 1.0
+    assert abs(res.amplitudes["numeric"][0] - 1.0) < 0.01
+
+
 def test_sweep_collect_mode_records_failures():
     # horizon too short for the slow period: every numeric point fails
     p = params(r=0.0)

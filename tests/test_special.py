@@ -186,6 +186,16 @@ def test_zero_bisection_oracle():
         assert abs(bessel_j0_zero(j) - 0.5 * (a + b)) < 1e-10
 
 
+def test_newton_zeros_bracketed_and_increasing():
+    # Newton from McMahon's guess runs for j <= 47, McMahon's guess alone
+    # from j = 48 on; the range spans the handoff
+    zeros = [bessel_j0_zero(j) for j in range(1, 50)]
+    for j, x in enumerate(zeros, start=1):
+        assert (j - 0.75) * math.pi < x < (j + 0.25) * math.pi, j
+        assert abs(bessel_row(x)[0]) < 1e-13, j
+    assert all(a < b for a, b in zip(zeros, zeros[1:]))
+
+
 def test_zero_spacing_approaches_pi():
     gap = bessel_j0_zero(20) - bessel_j0_zero(19)
     assert abs(gap - math.pi) < 0.01
