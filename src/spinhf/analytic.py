@@ -10,8 +10,11 @@ full-amplitude oscillation instead of frozen dynamics.
 Every derived quantity of a parameter set lives in one record,
 EffectiveQuantities, built once per DriveParams by _record (the one
 place that decides the branch); the public functions read its fields.
-The slow constants are Jacobi-Anger sums over one Bessel row; the
-adaptive quadrature of gamma1/gamma2(r, spec) is their oracle.
+The slow constants J0, a, b and the gamma pair depend on the fast drive
+(r, phi_hf) alone, so _drive computes them once per drive, and the
+parameter sets of a sweep share them. They are Jacobi-Anger sums over
+one Bessel row; the adaptive quadrature of gamma1/gamma2(r, spec) is
+their oracle.
 """
 
 from __future__ import annotations
@@ -87,7 +90,12 @@ def ab_funcs(r: float, phi: float) -> tuple[float, float]:
     a = 2 int_0^phi sin(r sin u) du - pi H0(r) = -4 sum_{k odd} J_k(r) cos(k phi) / k
     b = 2 [int_0^phi cos(r sin u) du - phi J0(r)] = 4 sum_{k even >= 2} J_k(r) sin(k phi) / k
     """
-    p_, q_ = _fourier_parts(special.bessel_row(r), phi)
+    return _ab_from_row(special.bessel_row(r), phi)
+
+
+def _ab_from_row(jk: np.ndarray, phi: float) -> tuple[float, float]:
+    """ab_funcs from the Bessel row jk of r."""
+    p_, q_ = _fourier_parts(jk, phi)
     return float(-2.0 * q_), float(2.0 * p_)
 
 
@@ -217,15 +225,27 @@ class EffectiveQuantities:
     h_ms: PauliOperator = field(repr=False)
 
 
+@functools.lru_cache(maxsize=256)
+def _drive(r: float, phi: float) -> tuple[float, float, float, float, float]:
+    """(J0(r), a, b, gamma1, gamma2): the slow constants of the fast drive
+    (r, phi_hf), shared by every parameter set that has it, as the points
+    of a sweep do. J0, a and b come from one Bessel row; the gamma pair is
+    cached per r on its own.
+    """
+    special.require_domain(r, "bessel_j0")
+    jk = special.bessel_row(r)
+    return (float(jk[0]), *_ab_from_row(jk, phi), *_gamma_pair(r))
+
+
 @functools.lru_cache(maxsize=64)
 def _record(p: DriveParams) -> EffectiveQuantities:
-    """Build the slow solution of p: the one place that tests the branch,
-    by w_par = -1 and J0(r) = 0 to within RESONANCE_EPS (w_perp != 0).
-    There the corrected generator takes gamma1 at r itself.
+    """Build the slow solution of p: the per-(w_perp, w_par, Omega_HF)
+    algebra on the shared constants of its drive (_drive). It is the one
+    place that tests the branch, by w_par = -1 and J0(r) = 0 to within
+    RESONANCE_EPS (w_perp != 0). There the corrected generator takes
+    gamma1 at r itself.
     """
-    j0 = special.bessel_j0(p.r)
-    a, b = ab_funcs(p.r, p.phi_hf)
-    g1, g2 = _gamma_pair(p.r)
+    j0, a, b, g1, g2 = _drive(p.r, p.phi_hf)
     opar1 = 1.0 + p.omega_par
     branch = p.omega_perp != 0.0 and abs(opar1) < RESONANCE_EPS and abs(j0) < RESONANCE_EPS
     ox = p.omega_perp * j0

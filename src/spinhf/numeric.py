@@ -6,10 +6,15 @@ the fast one behind the CLI and the sweeps: in the rotating frame the
 Hamiltonian is periodic with the HF period T, so one period's propagator,
 built from fourth-order Magnus steps and raised to the n-th power in
 closed form, gives the state at any time (stroboscopic Floquet evolution).
-`integrate_schrodinger` is the oracle: an embedded adaptive Runge-Kutta
-5(4) pair on the two complex state amplitudes, stepped in the lab frame.
-Its step size is error controlled and additionally capped at a twentieth
-of the HF period so the fast drive is never aliased.
+The engine takes a batch of drives: `resonance_sweep` runs its whole
+numeric column through it at once, with one table scan per refinement
+level and one sampling pass, and `evolve_floquet` is the same engine on
+one drive. Every operation is elementwise, so a drive's output does not
+depend on its batch. `integrate_schrodinger` is the oracle: an embedded
+adaptive Runge-Kutta 5(4) pair on the two complex state amplitudes,
+stepped in the lab frame. Its step size is error controlled and
+additionally capped at a twentieth of the HF period so the fast drive is
+never aliased.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ _TOL_RANGE = (1e-12, 1e-6)
 _RENORM_THRESHOLD = 1e-10
 _NORM_FAILURE = 1e-6
 OMEGA_FLOOR = 1e-3  # sweep horizon guard for vanishing slow frequency
+# rows of one sample grid: a row costs at least 16 bytes (its time and its
+# value), so a grid holds at most 1 GiB
+_MAX_SAMPLES = 1 << 26
+_BATCH_ROWS = 1 << 20  # samples one sweep batch holds (16 MiB of times and values)
 
 
 class IntegratorFailureError(RuntimeError):
@@ -202,15 +211,31 @@ def default_sample_dt(p: DriveParams) -> float:
 def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
     """The sample grid k * sample_dt, k = 0, 1, ..., keeping exactly the
     k with k * sample_dt <= t_end (integrate_schrodinger's samples)."""
+    return np.arange(_sample_count(t_end, sample_dt)) * sample_dt
+
+
+def _sample_count(t_end: float, sample_dt: float) -> int:
+    """Rows of sample_times(t_end, sample_dt). A t_end that is not finite,
+    or a grid of more than _MAX_SAMPLES rows, raises ValueError before
+    anything is allocated."""
     if not sample_dt > 0.0:
         raise ValueError(f"sample_dt must be > 0, got {sample_dt!r}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    ratio = t_end / sample_dt
+    if not ratio < _MAX_SAMPLES:
+        raise ValueError(
+            f"t_end / sample_dt = {ratio:.6g} exceeds the cap of {_MAX_SAMPLES} samples"
+        )
+    if ratio < 0.0:
+        return 0
     # t_end / sample_dt rounds either way; step the floor to the exact last k
-    last = math.floor(t_end / sample_dt)
+    last = math.floor(ratio)
     while (last + 1) * sample_dt <= t_end:
         last += 1
     while last * sample_dt > t_end:
         last -= 1
-    return np.arange(last + 1) * sample_dt
+    return last + 1
 
 
 def integrate_schrodinger(
@@ -337,27 +362,52 @@ def integrate_schrodinger(
 #
 # An SU(2) element w - i (x, y, z).sigma is stored as the four real arrays
 # (w, x, y, z); closed-form exponentials and products keep it unitary.
+# The engine runs B drives at once. A per-drive value is a float for one
+# drive and a (B, 1) column for several, so a batch adds a leading drive
+# axis that broadcasts along the time axis. Every operation is elementwise,
+# so a drive's numbers do not depend on the batch it runs in.
 
 _MAGNUS_SUBSTEPS = 64  # substeps per period at the first refinement level
 _MAGNUS_MAX_SUBSTEPS = 1 << 17  # refinement cap; beyond it StiffnessError
-_CHUNK = 1 << 15  # samples evaluated per numpy pass (bounds peak memory)
+_CHUNK = 1 << 15  # drives x samples (or table entries) per numpy pass (bounds peak memory)
 _GL_OFFSET = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at 1/2 -+ this
 
 
-def _magnus_steps(p: DriveParams, t0: np.ndarray, h) -> tuple:
+def _columns(rows: list) -> tuple:
+    """Per-drive values from one tuple per drive: that tuple itself for one
+    drive, else one (B, 1) column per entry."""
+    return rows[0] if len(rows) == 1 else tuple(np.array(v)[:, None] for v in zip(*rows))
+
+
+def _take(cols: tuple, keep) -> tuple:
+    """The rows keep of every (B, 1) column in cols."""
+    return tuple(v[keep] for v in cols)
+
+
+def _drives(ps: Sequence[DriveParams], t_ends: Sequence[float]) -> tuple:
+    """Per-drive columns (-w_perp / 2, -(1 + w_par) / 2, r, Omega_HF, phi_hf,
+    span) of the drives ps; the span of the table is one HF period, or the
+    horizon when that is shorter."""
+    return _columns([
+        (-0.5 * p.omega_perp, -0.5 * (1.0 + p.omega_par), p.r, p.Omega_HF, p.phi_hf,
+         min(TWO_PI / p.Omega_HF, t_end))
+        for p, t_end in zip(ps, t_ends)
+    ])
+
+
+def _magnus_steps(d: tuple, t0: np.ndarray, h) -> tuple:
     """One fourth-order Magnus step of the rotating-frame dynamics over
     [t0, t0 + h] for each entry (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-    151 (2009)).
+    151 (2009)); d holds the drives' columns (_drives).
 
     The field is the Pauli vector a(t) of model.hamiltonian_transformed at
     the fast variable Omega_HF t; its z component is constant. With a1, a2
     at the two Gauss-Legendre nodes the step is exp(-i g.sigma),
     g = (h/2)(a1 + a2) + (sqrt(3)/6) h^2 (a2 x a1).
     """
-    half_perp = -0.5 * p.omega_perp
-    az = -0.5 * (1.0 + p.omega_par)
-    th1 = p.r * np.sin(p.Omega_HF * (t0 + (0.5 - _GL_OFFSET) * h) + p.phi_hf)
-    th2 = p.r * np.sin(p.Omega_HF * (t0 + (0.5 + _GL_OFFSET) * h) + p.phi_hf)
+    half_perp, az, r, omega, phi = d[:5]
+    th1 = r * np.sin(omega * (t0 + (0.5 - _GL_OFFSET) * h) + phi)
+    th2 = r * np.sin(omega * (t0 + (0.5 + _GL_OFFSET) * h) + phi)
     x1, y1 = half_perp * np.cos(th1), half_perp * np.sin(th1)
     x2, y2 = half_perp * np.cos(th2), half_perp * np.sin(th2)
     k = _GL_OFFSET * h * h  # sqrt(3)/6 h^2
@@ -393,63 +443,165 @@ def _su2_apply(q, psi) -> tuple:
     )
 
 
-def _propagator_table(p: DriveParams, span: float, n_sub: int) -> np.ndarray:
-    """Rows (w, x, y, z) of F_i = U(i h) for i = 0..n_sub, h = span / n_sub.
+def _period_tables(d: tuple, n_sub: int) -> np.ndarray:
+    """Rows (w, x, y, z) of F_i = U(i h) for i = 0..n_sub, h = span / n_sub:
+    shape (4, n_sub + 1) for one drive, (4, B, n_sub + 1) for B drives.
 
     A Hillis-Steele prefix scan multiplies the Magnus steps, later steps
-    on the left.
+    on the left. The drives share its passes, in groups of at most
+    _CHUNK / n_sub drives, so that long tables keep to cache-sized arrays.
     """
-    h = span / n_sub
-    table = np.empty((4, n_sub + 1))
-    table[:, 0] = (1.0, 0.0, 0.0, 0.0)
-    table[:, 1:] = _magnus_steps(p, np.arange(n_sub) * h, h)
-    scan = table[:, 1:]
-    d = 1
-    while d < n_sub:
-        scan[:, d:] = _su2_mul(scan[:, d:], scan[:, :-d])
-        d *= 2
+    h = d[5] / n_sub
+    group = max(1, _CHUNK // n_sub)
+    if isinstance(h, np.ndarray) and len(h) > group:
+        groups = (_take(d, slice(lo, lo + group)) for lo in range(0, len(h), group))
+        return np.concatenate([_period_tables(g, n_sub) for g in groups], axis=1)
+    table = np.empty((4, *np.shape(h)[:1], n_sub + 1))
+    table[..., 0] = 0.0
+    table[0, ..., 0] = 1.0
+    table[..., 1:] = _magnus_steps(d, np.arange(n_sub) * h, h)
+    scan = table[..., 1:]
+    k = 1
+    while k < n_sub:
+        scan[..., k:] = _su2_mul(scan[..., k:], scan[..., :-k])
+        k *= 2
     return table
 
 
-def _converged_table(p: DriveParams, span: float, tol: float) -> np.ndarray:
-    """The propagator table at the first substep count N (doubling from
-    _MAGNUS_SUBSTEPS) where U(span) moved by at most tol * span from N / 2."""
+def _converged_tables(d: tuple, tol: float) -> list:
+    """Per drive, (table, N) at the first substep count N (doubling from
+    _MAGNUS_SUBSTEPS) where U(span) moved by at most tol * span from N / 2,
+    or the StiffnessError past _MAGNUS_MAX_SUBSTEPS. The drives still
+    refining share each level's scan; a drive stops at its own level.
+    """
+    todo = list(range(np.size(d[5])))
+    out: list = [None] * len(todo)
     n_sub = _MAGNUS_SUBSTEPS
-    table = _propagator_table(p, span, n_sub)
-    while True:
+    coarse = _period_tables(d, n_sub)
+    while todo:
         n_sub *= 2
         if n_sub > _MAGNUS_MAX_SUBSTEPS:
-            raise StiffnessError(
-                f"Floquet propagator not converged to tol {tol:.3g} within "
-                f"{_MAGNUS_MAX_SUBSTEPS} substeps per period"
-            )
-        finer = _propagator_table(p, span, n_sub)
-        change = float(np.max(np.abs(finer[:, -1] - table[:, -1])))
-        table = finer
-        if change <= tol * span:
-            return table
+            for b in todo:
+                out[b] = StiffnessError(
+                    f"Floquet propagator not converged to tol {tol:.3g} within "
+                    f"{_MAGNUS_MAX_SUBSTEPS} substeps per period"
+                )
+            break
+        fine = _period_tables(d, n_sub)
+        change = np.max(np.abs(fine[..., -1] - coarse[..., -1]), axis=0)
+        done = change <= tol * np.ravel(d[5])
+        for j in np.flatnonzero(done):
+            out[todo[j]] = (fine[:, j] if fine.ndim == 3 else fine, n_sub)
+        if done.any() and not done.all():  # only a batch splits
+            keep = np.flatnonzero(~done)
+            d, fine = _take(d, keep), fine[:, keep]
+        todo = [b for b, ok in zip(todo, done) if not ok]
+        coarse = fine
+    return out
 
 
-def _rotating_states(p: DriveParams, table: np.ndarray, span: float, psi0, t: np.ndarray):
-    """Rotating-frame states U(t) psi0 at times t, as four real arrays.
+def _rotating_states(d: tuple, table: np.ndarray, c: tuple, t: np.ndarray):
+    """Rotating-frame states U(t) psi0 at times t (one row per drive), as
+    four real arrays.
 
     With t = n span + s and i = floor(s / h): U(t) = M(s - i h; i h) F_i
     U(span)^n, where M is one partial Magnus step and
-    U^n = cos(n beta) - i sin(n beta) u.sigma.
+    U^n = cos(n beta) - i sin(n beta) u.sigma. c holds the per-drive
+    values h, N - 1, the drive's first column in table (where a batch's
+    tables sit side by side), beta, |sin beta|, the three components of
+    sin(beta) u, and psi0 as four real parts.
     """
-    n_sub = table.shape[1] - 1
-    h = span / n_sub
-    w, x, y, z = table[:, -1]
-    vnorm = math.sqrt(x * x + y * y + z * z)
-    beta = math.atan2(vnorm, w)
-    n = np.floor(t / span)
-    s = t - n * span
-    i = np.clip(np.floor(s / h), 0.0, n_sub - 1.0)
+    h, i_max, off, beta, vnorm, x, y, z, *psi0 = c
+    n = np.floor(t / d[5])
+    s = t - n * d[5]
+    i = np.clip(np.floor(s / h), 0.0, i_max)
     ang = n * beta
-    sin_n = np.sin(ang) / vnorm if vnorm > 0.0 else np.zeros_like(ang)
+    # U(span) = +-1 has no axis: sin(n beta) u = 0
+    sin_n = np.divide(np.sin(ang), vnorm, out=np.zeros_like(ang), where=vnorm > 0.0)
     psi = _su2_apply((np.cos(ang), sin_n * x, sin_n * y, sin_n * z), psi0)
-    psi = _su2_apply(table[:, i.astype(np.intp)], psi)
-    return _su2_apply(_magnus_steps(p, i * h, s - i * h), psi)
+    idx = i.astype(np.intp)
+    if isinstance(off, np.ndarray):
+        idx += off
+    psi = _su2_apply(table[:, idx], psi)
+    return _su2_apply(_magnus_steps(d, i * h, s - i * h), psi)
+
+
+def _evolve_drives(
+    ps: Sequence[DriveParams],
+    init: Spinor,
+    t_ends: Sequence[float],
+    sample_dts: Sequence[Optional[float]],
+    tol: float,
+) -> list:
+    """evolve_floquet for each drive of ps over its own horizon: a
+    (TimeSeries, final Spinor) pair per drive, or the StiffnessError of its
+    table, which fails that drive alone (a rejected grid raises).
+
+    One chunked pass samples every drive. Row b holds drive b's grid, then
+    its t_end (whose state is the final state), padded with t_end to the
+    chunk's width; a chunk holds at most _CHUNK drives x samples, and a
+    drive whose row is done leaves the pass.
+    """
+    dts = [default_sample_dt(p) if dt is None else dt for p, dt in zip(ps, sample_dts)]
+    grids = [sample_times(t_end, dt) for t_end, dt in zip(t_ends, dts)]
+    d = _drives(ps, t_ends)
+    out = _converged_tables(d, tol)
+    live = [k for k, tab in enumerate(out) if not isinstance(tab, StiffnessError)]
+    if not live:
+        return out
+    if len(live) < len(ps):
+        d = _take(d, live)
+    consts, off = [], 0
+    for k, span in zip(live, np.ravel(d[5])):
+        table, n_sub = out[k]
+        w, x, y, z = table[:, -1]
+        vnorm = math.sqrt(x * x + y * y + z * z)
+        start = initial_gauge_factor(ps[k]).apply(init)
+        consts.append((
+            span / n_sub, n_sub - 1.0, off, math.atan2(vnorm, w), vnorm, x, y, z,
+            start.up.real, start.up.imag, start.down.real, start.down.imag, dts[k],
+        ))
+        off += n_sub + 1
+    c = _columns(consts)
+    table = out[live[0]][0] if len(live) == 1 else np.concatenate([out[k][0] for k in live], axis=1)
+
+    counts = [grids[k].size + 1 for k in live]  # the grid, then t_end
+    values = [np.empty(n) for n in counts]
+    finals: list = [None] * len(live)
+    lo = 0
+    while lo < max(counts):
+        rows = [j for j, n in enumerate(counts) if n > lo]
+        width = min(_CHUNK // len(rows) or 1, max(counts) - lo)
+        dj, cj = (d, c) if len(rows) == len(live) else (_take(d, rows), _take(c, rows))
+        t = np.arange(lo, lo + width) * cj[-1]
+        for j, row in zip(rows, t.reshape(len(rows), width)):
+            row[counts[j] - 1 - lo :] = t_ends[live[j]]  # t_end from the row's end on
+        psi = [a.reshape(len(rows), width) for a in _rotating_states(dj, table, cj[:-1], t)]
+        ur, ui, dr, di = psi
+        v = (ur * ur + ui * ui) - (dr * dr + di * di)
+        for r, j in enumerate(rows):
+            stop = min(counts[j] - lo, width)
+            values[j][lo : lo + stop] = v[r, :stop]
+            if stop == counts[j] - lo:
+                finals[j] = [a[r, stop - 1] for a in psi]
+        lo += width
+
+    for k, vals, (ur, ui, dr, di) in zip(live, values, finals):
+        up, down = complex(ur, ui), complex(dr, di)
+        norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
+        final = gauge_factor(t_ends[k], ps[k]).apply(Spinor(up / norm, down / norm))
+        out[k] = (
+            TimeSeries(times=grids[k], values=vals[:-1], method="numeric[floquet]", params=ps[k]),
+            final,
+        )
+    return out
+
+
+def _check_run(t_end: float, tol: float) -> None:
+    if not t_end > 0.0:
+        raise ValueError(f"t_end must be > 0, got {t_end!r}")
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
 
 
 def evolve_floquet(
@@ -473,30 +625,15 @@ def evolve_floquet(
     arrays memory does not grow with the horizon. The final state is the
     lab-frame state at t_end. norm_drift is 0.0: every propagator is an
     exact SU(2) product, so there is no norm to restore.
+
+    It is the batched engine of resonance_sweep on one drive, with float
+    drive values and 1-D arrays; a drive's output is the same in a batch.
     """
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end!r}")
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
-    times = sample_times(t_end, default_sample_dt(p) if sample_dt is None else sample_dt)
-
-    span = min(TWO_PI / p.Omega_HF, t_end)
-    table = _converged_table(p, span, tol)
-    start = initial_gauge_factor(p).apply(init)
-    psi0 = (start.up.real, start.up.imag, start.down.real, start.down.imag)
-
-    # the samples, then t_end for the final state
-    grid = np.append(times, t_end)
-    values = np.empty_like(grid)
-    for lo in range(0, grid.size, _CHUNK):
-        ur, ui, dr, di = _rotating_states(p, table, span, psi0, grid[lo : lo + _CHUNK])
-        values[lo : lo + _CHUNK] = (ur * ur + ui * ui) - (dr * dr + di * di)
-
-    up, down = complex(ur[-1], ui[-1]), complex(dr[-1], di[-1])
-    norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
-    final = gauge_factor(t_end, p).apply(Spinor(up / norm, down / norm))
-    series = TimeSeries(times=times, values=values[:-1], method="numeric[floquet]", params=p)
-    return series, final
+    _check_run(t_end, tol)
+    run = _evolve_drives([p], init, [t_end], [sample_dt], tol)[0]
+    if isinstance(run, StiffnessError):
+        raise run
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +652,7 @@ def hf_average(series: TimeSeries, p: DriveParams) -> TimeSeries:
         raise ValueError("series too short to average")
     steps = np.diff(series.times)
     dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=0.0, atol=1e-9 * dt):
+    if not np.all(np.abs(steps - dt) <= 1e-9 * dt):
         raise ValueError("hf_average requires uniform sampling")
     if dt > t_hf / 10.0 + 1e-15:
         raise ValueError(
@@ -561,6 +698,45 @@ def extract_amplitude(series: TimeSeries, p: DriveParams) -> float:
     return 0.5 * (float(series.values.max()) - float(series.values.min()))
 
 
+def _numeric_amplitudes(points: Sequence[DriveParams], tol: float, t_end: Optional[float]) -> list:
+    """The numeric amplitude of each point from |+>, or the exception it raised.
+
+    The horizon is t_end, or 1.5 slow periods (with a frequency floor so
+    off-resonance points stay cheap). Consecutive points run as one
+    _evolve_drives batch while their grids hold at most _BATCH_ROWS
+    samples in all (a longer grid runs alone), which bounds its memory.
+    """
+    out: list = [None] * len(points)
+    batches, rows = [[]], 0
+    for k, p in enumerate(points):
+        try:
+            horizon = t_end if t_end is not None else (
+                1.5 * TWO_PI / max(abs(analytic.omega_ms(p)), OMEGA_FLOOR)
+            )
+            _check_run(horizon, tol)
+            n = _sample_count(horizon, default_sample_dt(p))
+        except Exception as exc:
+            out[k] = exc
+            continue
+        if batches[-1] and rows + n > _BATCH_ROWS:
+            batches.append([])
+            rows = 0
+        batches[-1].append((k, horizon))
+        rows += n
+    for ks, horizons in (zip(*batch) for batch in batches if batch):
+        ps = [points[k] for k in ks]
+        runs = _evolve_drives(ps, Spinor.plus(), horizons, [None] * len(ps), tol)
+        for k, p, run in zip(ks, ps, runs):
+            if isinstance(run, StiffnessError):
+                out[k] = run
+                continue
+            try:
+                out[k] = extract_amplitude(hf_average(run[0], p), p)
+            except Exception as exc:
+                out[k] = exc
+    return out
+
+
 def resonance_sweep(
     p_template: DriveParams,
     omega_par_grid: Sequence[float],
@@ -572,10 +748,13 @@ def resonance_sweep(
     """Amplitude-versus-omega_par curves.
 
     Closed-form methods evaluate pointwise; "numeric" evolves each grid
-    point from |+> with evolve_floquet over an auto-chosen horizon of 1.5
-    slow periods (with a frequency floor so off-resonance points stay
-    cheap). on_error = "raise" aborts on the first failing point;
-    "collect" records NaN and continues.
+    point from |+> (_numeric_amplitudes), all points through one batched
+    run of evolve_floquet's engine, each with the output it would have
+    alone. The points share r and phi_hf, hence one set of slow constants
+    (analytic._drive). Closed-form failures are reported first, then the
+    numeric ones in grid order; a failure fails its own point only.
+    on_error = "raise" raises the first of them; "collect" records NaN
+    and continues. A t_end no point can run raises ValueError first.
     """
     grid = [float(w) for w in omega_par_grid]
     if not grid:
@@ -590,6 +769,10 @@ def resonance_sweep(
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if on_error not in ("raise", "collect"):
         raise ValueError(f"on_error must be 'raise' or 'collect', got {on_error!r}")
+    if t_end is not None:  # a horizon no point can run is a usage error
+        if not t_end > 0.0:
+            raise ValueError(f"t_end must be > 0, got {t_end!r}")
+        _sample_count(t_end, default_sample_dt(p_template))
 
     points = [
         DriveParams(
@@ -600,31 +783,28 @@ def resonance_sweep(
     ]
     failures: list[tuple[float, str, str]] = []
 
-    def fail(w: float, name: str, exc: BaseException):
+    def settle(w: float, name: str, value):
+        if not isinstance(value, Exception):
+            return value
         if on_error == "raise":
-            raise SweepPointError(w, exc) from exc
-        failures.append((w, name, str(exc)))
+            raise SweepPointError(w, value) from value
+        failures.append((w, name, str(value)))
+        return math.nan
 
-    def amplitude(name: str, p: DriveParams) -> float:
-        if name != "numeric":
+    def closed(name: str, p: DriveParams):
+        try:
             return analytic.amplitude_closed(analytic.MethodId(name), p)
-        horizon = t_end if t_end is not None else (
-            1.5 * TWO_PI / max(abs(analytic.omega_ms(p)), OMEGA_FLOOR)
-        )
-        series, _ = evolve_floquet(p, Spinor.plus(), horizon, tol=tol)
-        return extract_amplitude(hf_average(series, p), p)
+        except Exception as exc:
+            return exc
 
     columns: dict[str, list[float]] = {}
     # closed forms first, so their failures are reported before numeric ones
-    for name in sorted(methods, key=lambda m: m == "numeric"):
-        col = []
-        for p, w in zip(points, grid):
-            try:
-                col.append(amplitude(name, p))
-            except Exception as exc:
-                fail(w, name, exc)
-                col.append(math.nan)
-        columns[name] = col
+    for name in methods:
+        if name != "numeric":
+            columns[name] = [settle(w, name, closed(name, p)) for p, w in zip(points, grid)]
+    if "numeric" in methods:
+        amps = _numeric_amplitudes(points, tol, t_end)
+        columns["numeric"] = [settle(w, "numeric", a) for w, a in zip(grid, amps)]
 
     return SweepResult(
         omega_par_grid=np.array(grid),

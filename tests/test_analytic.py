@@ -819,12 +819,15 @@ def test_effective_quantities_on_branch():
 
 
 def test_one_record_per_parameter_set(monkeypatch):
-    # The slow constants of a parameter set are derived once: one a/b
-    # evaluation, one gamma lookup and one J0 per new record. The gamma
-    # pair is warmed first because it is cached per r on its own.
+    # The slow constants of a fast drive (r, phi_hf) are derived once, from
+    # one Bessel row, and shared by every parameter set with that drive; a
+    # record adds only its own algebra. The gamma pair is warmed first
+    # because it is cached per r on its own; the other caches start empty.
+    analytic._record.cache_clear()
+    analytic._drive.cache_clear()
     p = params(omega_par=0.3, r=1.37, phi_hf=0.9)
     gamma1(p.r)
-    calls = {"bessel_j0": 0, "ab_funcs": 0, "_gamma_pair": 0}
+    calls = dict.fromkeys(("bessel_row", "bessel_j0", "_ab_from_row", "_gamma_pair"), 0)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -835,21 +838,31 @@ def test_one_record_per_parameter_set(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(special, "bessel_row")
     counted(special, "bessel_j0")
-    counted(analytic, "ab_funcs")
+    counted(analytic, "_ab_from_row")
     counted(analytic, "_gamma_pair")
 
     effective_quantities(p)
-    assert (calls["ab_funcs"], calls["_gamma_pair"]) == (1, 1)
-    assert calls["bessel_j0"] == 1
+    assert calls == {"bessel_row": 1, "bessel_j0": 0, "_ab_from_row": 1, "_gamma_pair": 1}
 
-    calls.update(bessel_j0=0)
+    # a sweep at a drive already seen rebuilds none of it
+    calls.update(dict.fromkeys(calls, 0))
     resonance_sweep(p, [0.11, 0.22, 0.33, 0.44], ["avg", "ms", "numeric"])
-    assert calls["bessel_j0"] == 4
+    assert calls == dict.fromkeys(calls, 0)
 
-    # on the branch too: the record and is_resonant_branch share its J0
-    calls.update(bessel_j0=0)
+    # past the 64 records the cache holds, a new drive still takes one row
+    # and one a/b evaluation for the whole sweep
+    p = params(r=1.913, phi_hf=0.41)
+    gamma1(p.r)
+    calls.update(dict.fromkeys(calls, 0))
+    resonance_sweep(p, np.linspace(-3.0, 2.0, 100), ["avg", "ms", "numeric"])
+    assert (calls["bessel_row"], calls["_ab_from_row"], calls["bessel_j0"]) == (1, 1, 0)
+
+    # on the branch too: the record and is_resonant_branch share its row
     p = params(r=R1, phi_hf=0.917)
+    gamma1(p.r)
+    calls.update(dict.fromkeys(calls, 0))
     effective_quantities(p)
     assert is_resonant_branch(p)
-    assert calls["bessel_j0"] == 1
+    assert (calls["bessel_row"], calls["bessel_j0"]) == (1, 0)

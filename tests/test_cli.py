@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinhf
 from spinhf import __version__
 from spinhf.cli import (
     PRESETS,
@@ -427,3 +431,29 @@ def test_broken_pipe_exits_quietly():
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ""
+
+
+def test_unbounded_horizon_exits_2_before_out_is_touched(tmp_path):
+    # inf, -inf and nan are no horizon, and 1e300 needs more sample rows
+    # than the cap allows (the grid rule would never finish stepping to its
+    # last row); each exits 2 before any work. A subprocess with a timeout
+    # keeps a hang from stalling the suite.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinhf.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "out"
+    cases = [(cmd, "avg,numeric") for cmd in ("evolve", "compare", "sweep")] + [("evolve", "avg")]
+    for command, methods in cases:
+        for t_end in ("inf", "-inf", "nan", "1e300"):
+            out.write_bytes(b"kept\n")
+            argv = [
+                sys.executable, "-m", "spinhf.cli", command, f"--t-end={t_end}",
+                "--methods", methods, "--out", str(out),
+            ]
+            if command == "sweep":
+                argv += ["--grid", "-1", "0", "2"]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            case = (command, methods, t_end, proc.stderr)
+            assert proc.returncode == 2, case
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, case
+            assert out.read_bytes() == b"kept\n", case

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinhf import cli, numeric, special
-from spinhf.analytic import MethodId, amplitude_closed, expect_sz_closed, omega_eff
+from spinhf.analytic import MethodId, amplitude_closed, expect_sz_closed, omega_eff, omega_ms
 from spinhf.model import TWO_PI, DriveParams
 from spinhf.numeric import (
     InsufficientSpanError,
@@ -19,6 +19,7 @@ from spinhf.numeric import (
     hf_average,
     integrate_schrodinger,
     resonance_sweep,
+    sample_times,
 )
 from spinhf.su2 import Spinor
 
@@ -136,7 +137,8 @@ def test_floquet_period_propagator_converges_at_fourth_order():
     # each doubling of the Magnus substeps cuts the change of U(T) about 16x
     p = params(r=R1)
     period = TWO_PI / p.Omega_HF
-    ends = [numeric._propagator_table(p, period, n)[:, -1] for n in (32, 64, 128, 256)]
+    drive = numeric._drives([p], [period])
+    ends = [numeric._period_tables(drive, n)[:, -1] for n in (32, 64, 128, 256)]
     changes = [float(np.max(np.abs(b - a))) for a, b in zip(ends, ends[1:])]
     for coarse, fine in zip(changes, changes[1:]):
         assert 12.0 < coarse / fine < 20.0, changes
@@ -152,6 +154,130 @@ def test_floquet_substep_cap_raises_stiffness_error(monkeypatch, capsys):
     ])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sample_grid_rejects_unbounded_horizons():
+    # an infinite horizon, or one past the row cap, fails before any allocation
+    for t_end in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            sample_times(t_end, 0.1)
+    cap = numeric._MAX_SAMPLES
+    for t_end, dt in ((1e300, 0.1), (1.0, 1e-300), (float(cap), 1.0)):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            sample_times(t_end, dt)
+    # the largest grid allowed, counted without allocating it
+    assert numeric._sample_count(cap - 1.0, 1.0) == cap
+    assert sample_times(-1e300, 0.1).size == 0
+
+
+# --- batched engine -------------------------------------------------------------
+
+BATCH_TOLS = (1e-8, 1e-12)
+
+
+def _batch_drives():
+    # horizons, spans, sample spacings and substep counts all differ:
+    # 4096, 1024, 1024, 65536 and 128 substeps at tol 1e-12; the third
+    # drive's horizon is shorter than T, and the last has U(T) = 1, no axis
+    return [
+        (params(omega_par=-8.0, r=8.65, phi_hf=0.917), 0.7, None),
+        (params(omega_par=0.3, phi_hf=0.9), 2.0, 0.013),
+        (params(r=R1), 0.05, None),
+        (params(omega_par=-30.0, r=8.65, phi_hf=0.917), 0.4, None),
+        (params(omega_perp=0.0, r=0.0), 1.0, None),
+    ]
+
+
+def _same_run(single, batched):
+    series, final = single
+    b_series, b_final = batched
+    return (
+        np.array_equal(series.times, b_series.times)
+        and np.array_equal(series.values, b_series.values)
+        and (final.up, final.down) == (b_final.up, b_final.down)
+    )
+
+
+def test_batched_engine_matches_single_drive_runs(monkeypatch):
+    init = Spinor.superposition(0.6, 0.4)
+    drives = _batch_drives()
+    ps, t_ends, dts = zip(*drives)
+    for tol in BATCH_TOLS:
+        singles = [evolve_floquet(p, init, t, sample_dt=dt, tol=tol) for p, t, dt in drives]
+        # a small chunk pads the rows to one width and drops each row at its own chunk
+        for chunk in (numeric._CHUNK, 97):
+            monkeypatch.setattr(numeric, "_CHUNK", chunk)
+            batched = numeric._evolve_drives(ps, init, t_ends, dts, tol)
+            assert all(_same_run(s, b) for s, b in zip(singles, batched)), (tol, chunk)
+
+
+def test_batched_engine_fails_a_drive_alone(monkeypatch):
+    init = Spinor.plus()
+    drives = _batch_drives()
+    singles = [evolve_floquet(p, init, t, sample_dt=dt, tol=1e-12) for p, t, dt in drives]
+    # the fourth drive needs 65536 substeps, the others at most 4096
+    monkeypatch.setattr(numeric, "_MAGNUS_MAX_SUBSTEPS", 8192)
+    ps, t_ends, dts = zip(*drives)
+    batched = numeric._evolve_drives(ps, init, t_ends, dts, 1e-12)
+    assert isinstance(batched[3], StiffnessError)
+    assert all(_same_run(s, b) for k, (s, b) in enumerate(zip(singles, batched)) if k != 3)
+
+
+def test_sweep_horizon_error_fails_its_point_alone():
+    # at Omega_HF = 2000 the floored horizon of the branch point needs more
+    # sample rows than the cap allows; the point beside it still runs
+    p = params(r=R1, Omega_HF=2000.0)
+    res = resonance_sweep(p, [-1.0, 0.0], ["avg", "numeric"], on_error="collect")
+    assert [f[:2] for f in res.failures] == [(-1.0, "numeric")]
+    assert "exceeds the cap" in res.failures[0][2]
+    q = params(r=R1, Omega_HF=2000.0, omega_par=0.0)
+    series, _ = evolve_floquet(q, Spinor.plus(), 1.5 * TWO_PI / abs(omega_ms(q)))
+    assert res.amplitudes["numeric"][1] == extract_amplitude(hf_average(series, q), q)
+
+
+def _per_point_sweep(p, grid, tol):
+    # the numeric column point by point: its own evolve_floquet, then
+    # hf_average and extract_amplitude, over 1.5 slow periods
+    amps, failures, first = [], [], None
+    for w in grid:
+        q = DriveParams(p.omega_perp, w, p.Omega_HF, p.r, p.phi_hf)
+        try:
+            horizon = 1.5 * TWO_PI / max(abs(omega_ms(q)), numeric.OMEGA_FLOOR)
+            series, _ = evolve_floquet(q, Spinor.plus(), horizon, tol=tol)
+            amps.append(extract_amplitude(hf_average(series, q), q))
+        except Exception as exc:
+            amps.append(math.nan)
+            failures.append((w, "numeric", str(exc)))
+            first = first or (w, exc)
+    return np.array(amps), tuple(failures), first
+
+
+def test_batched_sweep_is_bit_identical_to_per_point_runs():
+    # at tol 1e-12 the points converge at 4,096 to 65,536 substeps or pass
+    # the cap; short horizons, a window longer than the series and the
+    # StiffnessError each fail their own point
+    p = params(omega_par=0.0, r=8.65, phi_hf=0.917)
+    grid = np.linspace(-30.0, 80.0, 6)
+    for tol in BATCH_TOLS:
+        amps, failures, (w, exc) = _per_point_sweep(p, grid, tol)
+        res = resonance_sweep(p, grid, ["avg", "numeric"], tol=tol, on_error="collect")
+        assert np.array_equal(res.amplitudes["numeric"], amps, equal_nan=True), tol
+        assert res.failures == failures, tol
+        assert np.isfinite(amps).any() and failures, tol
+        with pytest.raises(SweepPointError) as exc_info:
+            resonance_sweep(p, grid, ["avg", "numeric"], tol=tol)
+        assert exc_info.value.omega_par == w
+        assert type(exc_info.value.cause) is type(exc) and str(exc_info.value.cause) == str(exc)
+    # the closed-form failures come first, then the numeric ones in grid order
+    res = resonance_sweep(p, grid, ["exact", "numeric"], on_error="collect")
+    assert [f[1] for f in res.failures] == ["exact"] * 6 + ["numeric"] * len(failures)
+
+
+def test_sweep_rejects_unusable_horizon():
+    p = params()
+    for t_end in (math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300):
+        with pytest.raises(ValueError):
+            resonance_sweep(p, [-1.0, 0.0], methods=("avg", "numeric"), t_end=t_end)
 
 
 # --- HF averaging ---------------------------------------------------------------
