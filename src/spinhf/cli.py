@@ -411,7 +411,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo = parse_scalar(graw[0])
     hi = parse_scalar(graw[1])
     npts = int(graw[2])
-    if npts < 1 or (npts == 1 and hi != lo) or (npts > 1 and hi <= lo):
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    if not finite or npts < 1 or (npts == 1 and hi != lo) or (npts > 1 and hi <= lo):
         raise UsageError(f"bad grid spec {graw!r}")
     grid = np.linspace(lo, hi, npts)
     t_end = float(parse_scalar(s["t_end"])) if s["t_end"] is not None else None
@@ -607,6 +608,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         ToleranceNotMetError,
     ) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return _NUMERIC_EXIT
+    except OverflowError as exc:  # parameters whose closed form leaves the float range
+        sys.stderr.write(f"numerical failure: float overflow {exc}\n")
         return _NUMERIC_EXIT
 
 

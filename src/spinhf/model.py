@@ -37,10 +37,12 @@ class DriveParams:
 
     def __post_init__(self):
         for name in _JSON_KEYS:
+            # -0.0 + 0.0 is +0.0, so equal parameter sets print and cache alike
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"DriveParams.{name} must be finite")
-        if self.Omega_HF <= 0.0:
-            raise ValueError(f"Omega_HF must be > 0, got {self.Omega_HF!r}")
+        if self.Omega_HF <= 0.0 or TWO_PI / self.Omega_HF == math.inf:
+            raise ValueError(f"Omega_HF must be > 0 with a finite HF period, got {self.Omega_HF!r}")
         r, phi = self.r, self.phi_hf
         if r < 0.0:
             # -r sin(x + phi) = r sin(x + phi + pi)

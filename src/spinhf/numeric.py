@@ -3,18 +3,18 @@ high-frequency averaging, amplitude extraction and resonance sweeps.
 
 Two independent engines solve the exact dynamics. `evolve_floquet` is
 the fast one behind the CLI and the sweeps: in the rotating frame the
-Hamiltonian is periodic with the HF period T, so one period's propagator,
-built from fourth-order Magnus steps and raised to the n-th power in
-closed form, gives the state at any time (stroboscopic Floquet evolution).
-The engine takes a batch of drives: `resonance_sweep` runs its whole
-numeric column through it at once, with one table scan per refinement
-level and one sampling pass, and `evolve_floquet` is the same engine on
-one drive. Every operation is elementwise, so a drive's output does not
-depend on its batch. `integrate_schrodinger` is the oracle: an embedded
-adaptive Runge-Kutta 5(4) pair on the two complex state amplitudes,
-stepped in the lab frame. Its step size is error controlled and
-additionally capped at a twentieth of the HF period so the fast drive is
-never aliased.
+Hamiltonian is periodic with the HF period T, so a table of U over one
+period, built from fourth-order Magnus steps, and U(T)^n in closed form
+give the state at any time (stroboscopic Floquet evolution). A sample at
+t = nT + s is the dot product of the Heisenberg vector of sigma_z under
+U(s) with the Bloch vector of U(T)^n psi0; on the default grid the
+samples take 32 phases s, each evaluated once. The engine takes a batch
+of drives: `resonance_sweep` runs its whole numeric column through it at
+once, and `evolve_floquet` is the same engine on one drive. Every
+operation is elementwise, so a drive's output does not depend on its
+batch. `integrate_schrodinger` is the oracle: an embedded adaptive
+Runge-Kutta 5(4) pair on the two complex state amplitudes, stepped in
+the lab frame, its step capped at a twentieth of the HF period.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic
 from .model import TWO_PI, DriveParams, gauge_factor, initial_gauge_factor
-from .su2 import Spinor
+from .su2 import ZERO_VEC, PauliOperator, Spinor, Vec3
 
 VALUE_SLACK = 1e-9
 _TOL_RANGE = (1e-12, 1e-6)
@@ -215,13 +215,13 @@ def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
 
 
 def _sample_count(t_end: float, sample_dt: float) -> int:
-    """Rows of sample_times(t_end, sample_dt). A t_end that is not finite,
-    or a grid of more than _MAX_SAMPLES rows, raises ValueError before
-    anything is allocated."""
+    """Rows of sample_times(t_end, sample_dt). A sample_dt or t_end that is
+    not finite, or a grid of more than _MAX_SAMPLES rows, raises ValueError
+    before anything is allocated."""
     if not sample_dt > 0.0:
         raise ValueError(f"sample_dt must be > 0, got {sample_dt!r}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if not (math.isfinite(sample_dt) and math.isfinite(t_end)):
+        raise ValueError(f"sample_dt and t_end must be finite, got {sample_dt!r} and {t_end!r}")
     ratio = t_end / sample_dt
     if not ratio < _MAX_SAMPLES:
         raise ValueError(
@@ -369,7 +369,7 @@ def integrate_schrodinger(
 
 _MAGNUS_SUBSTEPS = 64  # substeps per period at the first refinement level
 _MAGNUS_MAX_SUBSTEPS = 1 << 17  # refinement cap; beyond it StiffnessError
-_CHUNK = 1 << 15  # drives x samples (or table entries) per numpy pass (bounds peak memory)
+_CHUNK = 1 << 15  # samples (or table entries) per numpy pass (bounds peak memory)
 _GL_OFFSET = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at 1/2 -+ this
 
 
@@ -431,16 +431,11 @@ def _su2_mul(a, b) -> tuple:
     )
 
 
-def _su2_apply(q, psi) -> tuple:
-    """Apply (w, x, y, z) to states given as (Re up, Im up, Re down, Im down)."""
-    w, x, y, z = q
-    ur, ui, dr, di = psi
-    return (
-        w * ur + z * ui + x * di - y * dr,
-        w * ui - z * ur - x * dr - y * di,
-        w * dr - z * di + x * ui + y * ur,
-        w * di + z * dr + y * ui - x * ur,
-    )
+def _unitary(w, x, y, z) -> PauliOperator:
+    """The SU(2) element (w, x, y, z) as an operator, scaled back to unit
+    norm, from which long table products drift by rounding."""
+    f = 1.0 / math.sqrt(w * w + x * x + y * y + z * z)
+    return PauliOperator(complex(f * w), -1j * f * x, -1j * f * y, -1j * f * z)
 
 
 def _period_tables(d: tuple, n_sub: int) -> np.ndarray:
@@ -500,30 +495,25 @@ def _converged_tables(d: tuple, tol: float) -> list:
     return out
 
 
-def _rotating_states(d: tuple, table: np.ndarray, c: tuple, t: np.ndarray):
-    """Rotating-frame states U(t) psi0 at times t (one row per drive), as
-    four real arrays.
-
-    With t = n span + s and i = floor(s / h): U(t) = M(s - i h; i h) F_i
-    U(span)^n, where M is one partial Magnus step and
-    U^n = cos(n beta) - i sin(n beta) u.sigma. c holds the per-drive
-    values h, N - 1, the drive's first column in table (where a batch's
-    tables sit side by side), beta, |sin beta|, the three components of
-    sin(beta) u, and psi0 as four real parts.
-    """
-    h, i_max, off, beta, vnorm, x, y, z, *psi0 = c
-    n = np.floor(t / d[5])
-    s = t - n * d[5]
+def _phase_propagators(d: tuple, table: np.ndarray, s) -> tuple:
+    """U(s) = M(s - i h; i h) F_i, i = floor(s / h), at phases s in [0, span]:
+    a table row, then one partial Magnus step. d holds the drive values
+    (_drives), then h, N - 1 and the drive's first column in table."""
+    h, i_max, off = d[6:]
     i = np.clip(np.floor(s / h), 0.0, i_max)
-    ang = n * beta
-    # U(span) = +-1 has no axis: sin(n beta) u = 0
-    sin_n = np.divide(np.sin(ang), vnorm, out=np.zeros_like(ang), where=vnorm > 0.0)
-    psi = _su2_apply((np.cos(ang), sin_n * x, sin_n * y, sin_n * z), psi0)
-    idx = i.astype(np.intp)
-    if isinstance(off, np.ndarray):
-        idx += off
-    psi = _su2_apply(table[:, idx], psi)
-    return _su2_apply(_magnus_steps(d, i * h, s - i * h), psi)
+    return _su2_mul(_magnus_steps(d, i * h, s - i * h), table[:, i.astype(np.intp) + off])
+
+
+def _heisenberg_z(q) -> np.ndarray:
+    """m with U^dagger sigma_z U = m.sigma for U = (w, x, y, z), stacked on a leading axis."""
+    w, x, y, z = q
+    return np.array([2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)])
+
+
+def _lattice(span: float, dt: float) -> int:
+    """P if P sample steps make up the span exactly (P dt == span, P <= _CHUNK), else 0."""
+    p = round(span / dt)
+    return p if 0 < p <= _CHUNK and p * dt == span else 0
 
 
 def _evolve_drives(
@@ -537,69 +527,71 @@ def _evolve_drives(
     (TimeSeries, final Spinor) pair per drive, or the StiffnessError of its
     table, which fails that drive alone (a rejected grid raises).
 
-    One chunked pass samples every drive. Row b holds drive b's grid, then
-    its t_end (whose state is the final state), padded with t_end to the
-    chunk's width; a chunk holds at most _CHUNK drives x samples, and a
-    drive whose row is done leaves the pass.
+    At t = n span + s, <sigma_z> = m(s).b_n: m is the Heisenberg vector of
+    U(s), b_n the Bloch vector of U(span)^n psi0, which turns psi0's b0 by
+    2 n beta about the axis u of U(span) = cos beta - i sin beta u.sigma.
+    So m.b_n = (K m).(1, cos 2 n beta, sin 2 n beta), with K's rows (b0.u) u,
+    b0 - (b0.u) u and u x b0 (Rodrigues). One pass over every drive takes
+    the P phases of its lattice, sample n P + j at phase j of period n, and
+    the phase of t_end, the final state's; other grids take each sample as
+    its own phase, _CHUNK at a time.
     """
     dts = [default_sample_dt(p) if dt is None else dt for p, dt in zip(ps, sample_dts)]
     grids = [sample_times(t_end, dt) for t_end, dt in zip(t_ends, dts)]
-    d = _drives(ps, t_ends)
-    out = _converged_tables(d, tol)
+    rows = [_drives([p], [t_end]) for p, t_end in zip(ps, t_ends)]
+    # a field too strong for floats gives a non-finite table, which never converges
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _converged_tables(_columns(rows), tol)
     live = [k for k, tab in enumerate(out) if not isinstance(tab, StiffnessError)]
     if not live:
         return out
-    if len(live) < len(ps):
-        d = _take(d, live)
-    consts, off = [], 0
-    for k, span in zip(live, np.ravel(d[5])):
+    drives, kicks, phases, off = [], [], [], 0
+    for k in live:
         table, n_sub = out[k]
-        w, x, y, z = table[:, -1]
+        span = rows[k][5]
+        w, x, y, z = table[:, -1].tolist()
         vnorm = math.sqrt(x * x + y * y + z * z)
+        beta, n_end = math.atan2(vnorm, w), math.floor(t_ends[k] / span)
+        # U(span) = +-1 has no axis: its powers are +-1, and b0 does not turn
+        u = Vec3(x / vnorm, y / vnorm, z / vnorm) if vnorm > 0.0 else ZERO_VEC
         start = initial_gauge_factor(ps[k]).apply(init)
-        consts.append((
-            span / n_sub, n_sub - 1.0, off, math.atan2(vnorm, w), vnorm, x, y, z,
-            start.up.real, start.up.imag, start.down.real, start.down.imag, dts[k],
-        ))
+        b0 = start.bloch()
+        par = u * u.dot(b0)
+        power = _unitary(math.cos(n_end * beta), *(u * math.sin(n_end * beta)).as_tuple())
+        turn = np.array([par.as_tuple(), (b0 - par).as_tuple(), u.cross(b0).as_tuple()])
+        kicks.append((2.0 * beta, turn, power.apply(start)))
+        drives.append((*rows[k], span / n_sub, n_sub - 1.0, off))
+        phases.append(np.append(np.arange(_lattice(span, dts[k])) * dts[k], t_ends[k] - n_end * span))
         off += n_sub + 1
-    c = _columns(consts)
+    # a row per drive: its lattice phases, then the phase of t_end to the row's end
+    s = np.empty((len(live), max(ph.size for ph in phases)))
+    for row, ph in zip(s, phases):
+        row[: ph.size], row[ph.size :] = ph, ph[-1]
     table = out[live[0]][0] if len(live) == 1 else np.concatenate([out[k][0] for k in live], axis=1)
-
-    counts = [grids[k].size + 1 for k in live]  # the grid, then t_end
-    values = [np.empty(n) for n in counts]
-    finals: list = [None] * len(live)
-    lo = 0
-    while lo < max(counts):
-        rows = [j for j, n in enumerate(counts) if n > lo]
-        width = min(_CHUNK // len(rows) or 1, max(counts) - lo)
-        dj, cj = (d, c) if len(rows) == len(live) else (_take(d, rows), _take(c, rows))
-        t = np.arange(lo, lo + width) * cj[-1]
-        for j, row in zip(rows, t.reshape(len(rows), width)):
-            row[counts[j] - 1 - lo :] = t_ends[live[j]]  # t_end from the row's end on
-        psi = [a.reshape(len(rows), width) for a in _rotating_states(dj, table, cj[:-1], t)]
-        ur, ui, dr, di = psi
-        v = (ur * ur + ui * ui) - (dr * dr + di * di)
-        for r, j in enumerate(rows):
-            stop = min(counts[j] - lo, width)
-            values[j][lo : lo + stop] = v[r, :stop]
-            if stop == counts[j] - lo:
-                finals[j] = [a[r, stop - 1] for a in psi]
-        lo += width
-
-    for k, vals, (ur, ui, dr, di) in zip(live, values, finals):
-        up, down = complex(ur, ui), complex(dr, di)
-        norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
-        final = gauge_factor(t_ends[k], ps[k]).apply(Spinor(up / norm, down / norm))
-        out[k] = (
-            TimeSeries(times=grids[k], values=vals[:-1], method="numeric[floquet]", params=ps[k]),
-            final,
-        )
+    q = _phase_propagators(_columns(drives), table, s)
+    m = _heisenberg_z(q)
+    for j, (k, (two_beta, turn, psi)) in enumerate(zip(live, kicks)):
+        grid, span, lattice = grids[k], rows[k][5], phases[j].size - 1
+        values = np.empty(grid.size)
+        step = _CHUNK // lattice * lattice if lattice else _CHUNK
+        for lo in range(0, grid.size, step):
+            hi = min(lo + step, grid.size)
+            if lattice:
+                n = np.arange(lo // lattice, -(-hi // lattice), dtype=float)[:, None]
+                mj = m[:, j, :lattice]
+            else:
+                n = np.floor(grid[lo:hi] / span)
+                mj = _heisenberg_z(_phase_propagators(drives[j], table, grid[lo:hi] - n * span))
+            parts, ang = sum(turn[:, i, None] * mj[i] for i in range(3)), n * two_beta
+            values[lo:hi] = (parts[0] + np.cos(ang) * parts[1] + np.sin(ang) * parts[2]).ravel()[: hi - lo]
+        final = gauge_factor(t_ends[k], ps[k]).apply(_unitary(*(a[j, lattice] for a in q)).apply(psi))
+        out[k] = TimeSeries(times=grid, values=values, method="numeric[floquet]", params=ps[k]), final
     return out
 
 
 def _check_run(t_end: float, tol: float) -> None:
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end!r}")
+    if not t_end / _MAGNUS_MAX_SUBSTEPS > 0.0:  # the finest Magnus substep
+        raise ValueError(f"t_end must be > 0, and t_end / 2^17 too, got {t_end!r}")
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
 
@@ -621,9 +613,11 @@ def evolve_floquet(
     period is split into N fourth-order Magnus substeps; N doubles from 64
     until U(T) moves by at most tol * T, and StiffnessError is raised past
     2^17. When t_end < T the table spans [0, t_end] instead of one period.
-    Samples are evaluated in chunks of fixed size, so beyond the output
-    arrays memory does not grow with the horizon. The final state is the
-    lab-frame state at t_end. norm_drift is 0.0: every propagator is an
+    When sample_dt divides the span, each of its phases costs one partial
+    Magnus step and every sample one dot product (_evolve_drives); other
+    grids cost a step per sample, in chunks of fixed size. Beyond the
+    output arrays memory does not grow with the horizon. The final state is
+    the lab-frame state at t_end. norm_drift is 0.0: every propagator is an
     exact SU(2) product, so there is no norm to restore.
 
     It is the batched engine of resonance_sweep on one drive, with float
@@ -770,8 +764,8 @@ def resonance_sweep(
     if on_error not in ("raise", "collect"):
         raise ValueError(f"on_error must be 'raise' or 'collect', got {on_error!r}")
     if t_end is not None:  # a horizon no point can run is a usage error
-        if not t_end > 0.0:
-            raise ValueError(f"t_end must be > 0, got {t_end!r}")
+        if not t_end / _MAGNUS_MAX_SUBSTEPS > 0.0:
+            raise ValueError(f"t_end must be > 0, and t_end / 2^17 too, got {t_end!r}")
         _sample_count(t_end, default_sample_dt(p_template))
 
     points = [

@@ -866,3 +866,16 @@ def test_one_record_per_parameter_set(monkeypatch):
     effective_quantities(p)
     assert is_resonant_branch(p)
     assert (calls["bessel_row"], calls["bessel_j0"]) == (1, 0)
+
+
+def test_signed_zero_parameters_share_one_record():
+    # -0.0 and +0.0 are one parameter set, so the record and every sign of
+    # zero in it must not depend on which of the two reached the cache first
+    reprs = []
+    for order in ((-0.0, 0.0), (0.0, -0.0)):
+        analytic._record.cache_clear()
+        reprs.append([repr(effective_quantities(DriveParams(w, 0.5, 50.0, 1.0, 0.3))) for w in order])
+    assert reprs[0] == reprs[1][::-1]
+    assert reprs[0][0] == reprs[0][1]
+    p = DriveParams(-0.0, -0.0, 50.0, -0.0, -0.0)
+    assert [math.copysign(1.0, v) for v in p.to_json_dict().values()] == [1.0] * 5

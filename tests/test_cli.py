@@ -457,3 +457,67 @@ def test_unbounded_horizon_exits_2_before_out_is_touched(tmp_path):
             assert proc.returncode == 2, case
             assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, case
             assert out.read_bytes() == b"kept\n", case
+
+
+# Every scalar option of evolve, compare, sweep (the three --grid fields
+# too) and constants, fed each hostile value in turn on an otherwise cheap
+# run: 29 options x 7 values. Values go in as --opt=value, so a leading
+# dash is read as a value; --grid takes three words, and a -inf or -1
+# there reads as a flag, which argparse rejects with exit 2.
+_HOSTILE = ("inf", "-inf", "nan", "0", "-1", "1e300", "5e-324")
+_TRACE_FLAGS = {
+    "omega-perp": "3", "omega-par": "-1", "Omega-HF": "50", "r": "1", "phi-hf": "pi/2",
+    "t-end": "0.6", "t-start": "0", "sample-dt": "pi/800", "tol": "1e-8",
+}
+_SWEEP_FLAGS = {
+    "omega-perp": "3", "Omega-HF": "50", "r": "1", "phi-hf": "pi/2", "t-end": "6",
+    "tol": "1e-8",
+}
+_SWEEP_GRID = ("-1.5", "-0.5", "3")
+
+
+def _hostile_cases():
+    methods = ["--methods", "avg,ms,numeric"]
+    for command in ("evolve", "compare"):
+        for flag in _TRACE_FLAGS:
+            for value in _HOSTILE:
+                args = [f"--{k}={value if k == flag else v}" for k, v in _TRACE_FLAGS.items()]
+                yield [command, *args, *methods, "--hf-average"], True
+    for flag in [*_SWEEP_FLAGS, 0, 1, 2]:
+        for value in _HOSTILE:
+            args = [f"--{k}={value if k == flag else v}" for k, v in _SWEEP_FLAGS.items()]
+            grid = [value if i == flag else g for i, g in enumerate(_SWEEP_GRID)]
+            yield ["sweep", *args, "--grid", *grid, *methods], True
+    for value in _HOSTILE:
+        yield ["constants", f"--zeros={value}", "--gamma-at=1"], False
+        yield ["constants", "--zeros=2", f"--gamma-at={value}"], False
+
+
+def test_hostile_scalar_options_exit_cleanly(tmp_path, capsys):
+    # every case exits 0, 2 or 3 with no traceback, and an exit 2 leaves
+    # an existing --out as it was
+    out = tmp_path / "out"
+    cases, bad = list(_hostile_cases()), []
+    assert len(cases) == 203
+    for argv, has_out in cases:
+        out.write_bytes(b"kept\n")
+        argv = argv + ["--out", str(out)] if has_out else argv
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the word itself
+            code = exc.code
+        except BaseException as exc:  # noqa: BLE001 - the case under test
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3) or "Traceback" in err:
+            bad.append((argv, code, err))
+        elif code == 2 and out.read_bytes() != b"kept\n":
+            bad.append((argv, "--out changed", err))
+    assert not bad, bad
+
+
+def test_overflowing_closed_form_is_a_numerical_failure(capsys):
+    # (1 + omega_par)^2 leaves the float range inside the slow record
+    for command, methods in (("evolve", "avg"), ("evolve", "ms"), ("compare", "avg"), ("compare", "ms")):
+        assert main([command, "--omega-par=1e300", "--t-end=1", "--methods", methods]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: float overflow")

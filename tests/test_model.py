@@ -136,6 +136,9 @@ def test_params_reject_nonpositive_hf_frequency():
         params(Omega_HF=0.0)
     with pytest.raises(ValueError):
         params(Omega_HF=-3.0)
+    # so small that the HF period 2 pi / Omega_HF overflows to inf
+    with pytest.raises(ValueError, match="finite HF period"):
+        params(Omega_HF=5e-324)
 
 
 def test_params_reject_nonfinite():

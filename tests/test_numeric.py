@@ -177,14 +177,22 @@ BATCH_TOLS = (1e-8, 1e-12)
 
 def _batch_drives():
     # horizons, spans, sample spacings and substep counts all differ:
-    # 4096, 1024, 1024, 65536 and 128 substeps at tol 1e-12; the third
-    # drive's horizon is shorter than T, and the last has U(T) = 1, no axis
+    # 4096, 1024, 1024, 65536, 128, 2048, 1024 and 1024 substeps at tol
+    # 1e-12. The first, fourth and fifth grids lie on the period lattice
+    # (T / 32); the fifth has U(T) = 1, no axis. The others take each
+    # sample as its own phase: the spacings of the second and sixth do not
+    # divide T, and the horizons of the third and seventh are shorter than
+    # T. The eighth spacing divides its horizon, shorter than T, which the
+    # table then spans: a lattice of 25 phases.
     return [
         (params(omega_par=-8.0, r=8.65, phi_hf=0.917), 0.7, None),
         (params(omega_par=0.3, phi_hf=0.9), 2.0, 0.013),
         (params(r=R1), 0.05, None),
         (params(omega_par=-30.0, r=8.65, phi_hf=0.917), 0.4, None),
         (params(omega_perp=0.0, r=0.0), 1.0, None),
+        (params(omega_par=0.5, r=2.0, phi_hf=0.3), 3.0, 0.007),
+        (params(omega_par=-0.4, r=0.6, phi_hf=2.0), 0.1, None),
+        (params(omega_par=-0.4, r=0.6, phi_hf=2.0), 0.1, 0.004),
     ]
 
 
@@ -204,7 +212,7 @@ def test_batched_engine_matches_single_drive_runs(monkeypatch):
     ps, t_ends, dts = zip(*drives)
     for tol in BATCH_TOLS:
         singles = [evolve_floquet(p, init, t, sample_dt=dt, tol=tol) for p, t, dt in drives]
-        # a small chunk pads the rows to one width and drops each row at its own chunk
+        # a small chunk splits the long grids, lattice or not, into several passes
         for chunk in (numeric._CHUNK, 97):
             monkeypatch.setattr(numeric, "_CHUNK", chunk)
             batched = numeric._evolve_drives(ps, init, t_ends, dts, tol)
@@ -221,6 +229,33 @@ def test_batched_engine_fails_a_drive_alone(monkeypatch):
     batched = numeric._evolve_drives(ps, init, t_ends, dts, 1e-12)
     assert isinstance(batched[3], StiffnessError)
     assert all(_same_run(s, b) for k, (s, b) in enumerate(zip(singles, batched)) if k != 3)
+
+
+def test_lattice_sampling_matches_per_sample_phases(monkeypatch):
+    # the period lattice evaluates each of the P phases once; forcing every
+    # sample to be its own phase must agree to rounding, samples and final state
+    rng = np.random.default_rng(17)
+    drives = []
+    for _ in range(24):
+        p = DriveParams(
+            omega_perp=rng.uniform(-4.0, 4.0), omega_par=rng.uniform(-3.0, 2.0),
+            Omega_HF=rng.choice([20.0, 50.0, 80.0]), r=rng.uniform(0.0, 5.0),
+            phi_hf=rng.uniform(0.0, TWO_PI),
+        )
+        period = TWO_PI / p.Omega_HF
+        dt = rng.choice([None, period / 16, period / 64])
+        drives.append((p, rng.choice([rng.uniform(0.05, 5.0), rng.uniform(5.0, 1000.0)]), dt))
+    ps, t_ends, dts = zip(*drives)
+    assert all(numeric._lattice(min(TWO_PI / p.Omega_HF, t), dt or default_sample_dt(p))
+               for p, t, dt in drives if t > TWO_PI / p.Omega_HF)
+    init = Spinor.superposition(0.6, 0.4)
+    lattice = numeric._evolve_drives(ps, init, t_ends, dts, 1e-8)
+    monkeypatch.setattr(numeric, "_lattice", lambda span, dt: 0)
+    phases = numeric._evolve_drives(ps, init, t_ends, dts, 1e-8)
+    for (series, final), (b_series, b_final) in zip(lattice, phases):
+        assert np.array_equal(series.times, b_series.times)
+        assert np.max(np.abs(series.values - b_series.values)) < 1e-12
+        assert max(abs(final.up - b_final.up), abs(final.down - b_final.down)) < 1e-12
 
 
 def test_sweep_horizon_error_fails_its_point_alone():
