@@ -14,7 +14,11 @@ The slow constants J0, a, b and the gamma pair depend on the fast drive
 (r, phi_hf) alone, so _drive computes them once per drive, and the
 parameter sets of a sweep share them. They are Jacobi-Anger sums over
 one Bessel row; the adaptive quadrature of gamma1/gamma2(r, spec) is
-their oracle.
+their oracle. The gamma pair's outer integrals run on a Gauss-Legendre
+rule of one of four sizes; a record per size (_gauss_rule), built at its
+first use, holds its nodes, weights and the sin/cos bases of the
+Jacobi-Anger sums there, so a fresh r costs one Bessel row and two
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -114,18 +118,54 @@ def sigma_op(t0: float, p: DriveParams) -> PauliOperator:
 # ---------------------------------------------------------------------------
 # gamma integrals (cached per r; sweeps share one r across their grid)
 
+def _rule_size(r: float) -> int:
+    """Nodes of the gamma pair's Gauss-Legendre rule at r: 2^ceil(log2(8r + 128)),
+    so 128 at r = 0, 256 up to r = 16, 512 up to 48 and 1024 up to 50."""
+    return 1 << math.ceil(math.log2(8.0 * r + 128.0))
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_rule(n: int) -> tuple[np.ndarray, ...]:
+    """What the gamma pair evaluates at the nodes of the n-node rule,
+    whatever r: the nodes phi on [0, 2 pi], the weights w, sin phi, and the
+    Jacobi-Anger bases sin(k phi_i) for even k >= 2 and cos(k phi_i) for
+    odd k, one column per k, as wide as the longest Bessel row of an r that
+    takes the rule. Built at its first use; the domain takes four sizes
+    (_rule_size), so the cache holds every one. The arrays are read-only.
+    """
+    x, w = special.gauss_legendre(n)
+    phi = math.pi * (x + 1.0)
+    k = np.arange(1, special.bessel_order(min((n - 128) / 8.0, special.BESSEL_DOMAIN)) + 1)
+    rule = (
+        phi, math.pi * w, np.sin(phi),
+        np.sin(np.multiply.outer(phi, k[1::2])), np.cos(np.multiply.outer(phi, k[::2])),
+    )
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 @functools.lru_cache(maxsize=256)
 def _default_gamma_pair(r: float) -> tuple[float, float]:
-    """The gamma pair with its inner integrals in closed form (_fourier_parts)
-    and the outer ones on a fixed Gauss-Legendre rule, which converges
-    exponentially on these entire integrands, with 2^ceil(log2(8r + 128)) nodes."""
-    x, w = special.gauss_legendre(1 << math.ceil(math.log2(8.0 * r + 128.0)))
-    phi, w = math.pi * (x + 1.0), math.pi * w
+    """The gamma pair with its inner integrals in closed form and the outer
+    ones on a fixed Gauss-Legendre rule, which converges exponentially on
+    these entire integrands, with _rule_size(r) nodes."""
+    return _rule_gamma_pair(_gauss_rule(_rule_size(r)), r)
+
+
+def _rule_gamma_pair(rule: tuple, r: float) -> tuple[float, float]:
+    """The gamma pair on the rule (_gauss_rule). The inner integrals are
+    _fourier_parts at the nodes, as products of the rule's bases with the
+    coefficients of r's Bessel row, and Q(0) = ones . odd coefficients, as
+    cos 0 = 1: the same products of the same values, so the same bits."""
+    phi, w, sin_phi, sin_even, cos_odd = rule
     jk = special.bessel_row(r)
-    p_, q_ = _fourier_parts(jk, phi)
-    q0 = _fourier_parts(jk, 0.0)[1]
-    cum_cos, cum_sin = jk[0] * phi + p_, q0 - q_
-    c, s = np.cos(r * np.sin(phi)), np.sin(r * np.sin(phi))
+    coef = 2.0 * jk[1:] / np.arange(1, jk.size)
+    even, odd = coef[1::2], coef[::2]
+    q0 = np.ones(odd.size) @ odd
+    cum_cos = jk[0] * phi + sin_even[:, : even.size] @ even
+    cum_sin = q0 - cos_odd[:, : odd.size] @ odd
+    c, s = np.cos(r * sin_phi), np.sin(r * sin_phi)
     return _combine_gamma(
         jk[0], 2.0 * q0 / math.pi, w @ (s * cum_cos * cum_sin), w @ (phi * phi * c),
         w @ (phi * (c * cum_cos + s * cum_sin)),

@@ -466,8 +466,10 @@ def _period_tables(d: tuple, n_sub: int) -> np.ndarray:
 def _converged_tables(d: tuple, tol: float) -> list:
     """Per drive, (table, N) at the first substep count N (doubling from
     _MAGNUS_SUBSTEPS) where U(span) moved by at most tol * span from N / 2,
-    or the StiffnessError past _MAGNUS_MAX_SUBSTEPS. The drives still
-    refining share each level's scan; a drive stops at its own level.
+    or a StiffnessError: at the first level where that change is not
+    finite (a field too strong for floats), which no finer level mends,
+    or past _MAGNUS_MAX_SUBSTEPS. The drives still refining share each
+    level's scan; a drive stops at its own level.
     """
     todo = list(range(np.size(d[5])))
     out: list = [None] * len(todo)
@@ -487,6 +489,13 @@ def _converged_tables(d: tuple, tol: float) -> list:
         done = change <= tol * np.ravel(d[5])
         for j in np.flatnonzero(done):
             out[todo[j]] = (fine[:, j] if fine.ndim == 3 else fine, n_sub)
+        broken = ~np.isfinite(change)
+        for j in np.flatnonzero(broken):
+            out[todo[j]] = StiffnessError(
+                f"Floquet propagator not finite at {n_sub} substeps per period: "
+                "the drive overflows floating point"
+            )
+        done |= broken
         if done.any() and not done.all():  # only a batch splits
             keep = np.flatnonzero(~done)
             d, fine = _take(d, keep), fine[:, keep]

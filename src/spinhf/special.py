@@ -68,7 +68,7 @@ def bessel_row(x: float) -> np.ndarray:
     if not abs(x) <= 4.0 * BESSEL_DOMAIN:
         raise ValueError(f"bessel_row argument {x!r} outside |x| <= {4.0 * BESSEL_DOMAIN}")
     ax = abs(x)
-    top = int(ax + 12.0 * ax ** (1.0 / 3.0)) + 8
+    top = bessel_order(ax)
     if ax < 1e-5:
         h, k = 0.5 * ax, np.arange(1, top + 1)
         row = np.cumprod(np.r_[1.0, h / k]) * (1.0 - h * h / np.arange(1, top + 2))
@@ -82,6 +82,12 @@ def bessel_row(x: float) -> np.ndarray:
     if x < 0.0:
         row[1::2] = -row[1::2]
     return row
+
+
+def bessel_order(x: float) -> int:
+    """K = int(|x| + 12 |x|^(1/3)) + 8, the last order in bessel_row(x)."""
+    ax = abs(x)
+    return int(ax + 12.0 * ax ** (1.0 / 3.0)) + 8
 
 
 def require_domain(x: float, name: str) -> None:

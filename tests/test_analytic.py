@@ -157,16 +157,53 @@ def test_spectral_gamma_pair_matches_quadrature_oracle():
         assert abs(gamma2(r) - gamma2(r, DEFAULT_QUADRATURE)) < 1e-12, r
 
 
-def test_gamma_node_count_has_converged(monkeypatch):
-    # doubling the Gauss-Legendre rule moves nothing, at the top of the
-    # domain and at r = 16, where 8r + 128 hits the 256-node rung exactly
-    rule = special.gauss_legendre
+def test_gamma_node_count_has_converged():
+    # a rule of twice the nodes moves the pair by less than 1e-13, at the
+    # top of the domain and at r = 16, where 8r + 128 hits the 256-node rung
+    # exactly; the doubled record is built outside the rule cache
     for r in (16.0, 50.0):
-        base = analytic._default_gamma_pair.__wrapped__(r)
-        monkeypatch.setattr(special, "gauss_legendre", lambda n: rule(2 * n))
-        doubled = analytic._default_gamma_pair.__wrapped__(r)
-        monkeypatch.setattr(special, "gauss_legendre", rule)
+        n = analytic._rule_size(r)
+        base = analytic._rule_gamma_pair(analytic._gauss_rule(n), r)
+        doubled = analytic._rule_gamma_pair(analytic._gauss_rule.__wrapped__(2 * n), r)
+        assert base == analytic._default_gamma_pair.__wrapped__(r)
+        assert base != doubled, r  # the doubled rule did run
         assert abs(base[0] - doubled[0]) < 1e-13 and abs(base[1] - doubled[1]) < 1e-13, r
+
+
+def _fourier_gamma_pair(r):
+    # the gamma pair with sin(k phi_i) and cos(k phi_i) recomputed for each
+    # r by _fourier_parts at the nodes, and Q(0) by _fourier_parts at 0
+    x, w = special.gauss_legendre(analytic._rule_size(r))
+    phi, w = math.pi * (x + 1.0), math.pi * w
+    jk = special.bessel_row(r)
+    p_, q_ = analytic._fourier_parts(jk, phi)
+    q0 = analytic._fourier_parts(jk, 0.0)[1]
+    cum_cos, cum_sin = jk[0] * phi + p_, q0 - q_
+    c, s = np.cos(r * np.sin(phi)), np.sin(r * np.sin(phi))
+    return analytic._combine_gamma(
+        jk[0], 2.0 * q0 / math.pi, w @ (s * cum_cos * cum_sin), w @ (phi * phi * c),
+        w @ (phi * (c * cum_cos + s * cum_sin)),
+    )
+
+
+def test_gamma_basis_route_is_bit_identical():
+    # the rule's cached bases take the same products of the same values as
+    # the per-r route, over [0, 50], at the top of each rule size, on the
+    # series rows below r = 1e-5 and at every J0 zero
+    tops = [0.0, 16.0, math.nextafter(16.0, 50.0), 48.0, math.nextafter(48.0, 50.0), 50.0]
+    series = [5e-324, 1e-300, 1e-12, 5e-6, math.nextafter(1e-5, 0.0), 1e-5]
+    zeros = [special.bessel_j0_zero(j) for j in range(1, 17)]
+    for r in [float(r) for r in np.linspace(0.0, 50.0, 1001)] + tops + series + zeros:
+        sin_even, cos_odd = analytic._gauss_rule(analytic._rule_size(r))[3:]
+        k = special.bessel_row(r).size - 1
+        assert sin_even.shape[1] >= k // 2 and cos_odd.shape[1] >= (k + 1) // 2, r
+        assert analytic._default_gamma_pair.__wrapped__(r) == _fourier_gamma_pair(r), r
+    # each basis is as wide as the row at the largest r its rule serves;
+    # the shared arrays are read-only
+    for n, r_top in ((128, 0.0), (256, 16.0), (512, 48.0), (1024, 50.0)):
+        rule, k = analytic._gauss_rule(n), special.bessel_order(r_top)
+        assert rule[3].shape == (n, k // 2) and rule[4].shape == (n, (k + 1) // 2)
+        assert not any(a.flags.writeable for a in rule)
 
 
 def test_gamma_cache_is_bounded():
@@ -175,6 +212,13 @@ def test_gamma_cache_is_bounded():
     for r in np.linspace(0.01, 0.02, 1000):  # fresh r, not used elsewhere
         gamma1(float(r))
     assert analytic._default_gamma_pair.cache_info().currsize <= info.maxsize
+    # one rule record per node count, and the domain takes four counts
+    sizes = {analytic._rule_size(float(r)) for r in np.linspace(0.0, 50.0, 5001)}
+    assert sizes == {128, 256, 512, 1024}
+    for r in (0.0, 16.0, 48.0, 50.0):
+        gamma1(r)
+    assert analytic._gauss_rule.cache_info().maxsize == 4
+    assert analytic._gauss_rule.cache_info().currsize <= 4
 
 
 def test_slow_constants_at_small_r():

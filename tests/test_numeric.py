@@ -156,6 +156,29 @@ def test_floquet_substep_cap_raises_stiffness_error(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_finite_drive_fails_at_its_first_level(monkeypatch, capsys):
+    # a field too strong for floats gives a NaN U(T) at once: the drive fails
+    # at the first comparison of two levels, not after every level up to
+    # the cap, while a finite but aliased drive keeps refining to the cap
+    levels = []
+    tables = numeric._period_tables
+    monkeypatch.setattr(numeric, "_period_tables", lambda d, n: levels.append(n) or tables(d, n))
+    argv = ["evolve", "--t-end", "1", "--methods", "numeric"]
+    assert cli.main(argv + ["--omega-perp", "1e300"]) == 3
+    assert levels == [64, 128]
+    assert "Floquet propagator not finite at 128 substeps" in capsys.readouterr().err
+    levels.clear()
+    assert cli.main(argv + ["--r", "1e300"]) == 3
+    assert levels == [64 << i for i in range(12)]
+    assert "not converged to tol 1e-08 within 131072 substeps" in capsys.readouterr().err
+    # in a batch the broken drive fails alone; the finite one is unchanged
+    init, good = Spinor.plus(), params(r=8.65)
+    ps = [params(omega_perp=1e300), good]
+    broken, run = numeric._evolve_drives(ps, init, [1.0, 1.0], [None, None], 1e-8)
+    assert isinstance(broken, StiffnessError)
+    assert _same_run(evolve_floquet(good, init, 1.0), run)
+
+
 def test_sample_grid_rejects_unbounded_horizons():
     # an infinite horizon, or one past the row cap, fails before any allocation
     for t_end in (math.inf, -math.inf, math.nan):

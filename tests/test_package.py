@@ -10,13 +10,17 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def _fresh_modules(code: str, prefixes: tuple[str, ...]) -> str:
-    # run code in a fresh interpreter and list the loaded modules under prefixes
+def _fresh(code: str) -> str:
+    # run code in a fresh interpreter and return what it prints
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinhf.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     return out.stdout.strip()
+
+
+def _fresh_modules(code: str, prefixes: tuple[str, ...]) -> str:
+    # run code in a fresh interpreter and list the loaded modules under prefixes
+    return _fresh(code + f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
 
 
 def test_cli_import_leaves_scipy_out():
@@ -34,3 +38,13 @@ def test_slow_constants_leave_scipy_and_numpy_polynomial_out():
         "effective_quantities(DriveParams(omega_perp=3.0, omega_par=0.3, Omega_HF=50.0, r=8.7, phi_hf=0.9))"
     )
     assert _fresh_modules(code, ("scipy", "numpy.polynomial")) == "[]"
+
+
+def test_cli_import_builds_no_gauss_rule():
+    # the gamma pair's rule records and their nodes are built at the first
+    # gamma miss, so importing the CLI does no array work for them
+    code = (
+        "import spinhf.cli; from spinhf import analytic, special; "
+        "print(analytic._gauss_rule.cache_info().currsize, special.gauss_legendre.cache_info().currsize)"
+    )
+    assert _fresh(code) == "0 0"
