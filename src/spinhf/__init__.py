@@ -1,9 +1,9 @@
 """Spin-1/2 dynamics under a gyrating field with a fast longitudinal drive.
 
 Closed-form propagators (bare, period-averaged, and slow-time corrected),
-special-function support, a stroboscopic Floquet engine and a direct
-Schrodinger integrator for the exact dynamics, and figure-data tooling.
-All frequencies are ratios to the gyration frequency.
+special-function support, a stroboscopic Floquet engine for the exact
+dynamics, and figure-data tooling. All frequencies are ratios to the
+gyration frequency.
 """
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ from .analytic import (
     eta,
     expect_sz_closed,
     gamma1,
-    gamma1_at_zero,
     gamma2,
     h_eff,
     ms_hamiltonian,
@@ -30,14 +29,12 @@ from .analytic import (
 from .model import (
     DriveParams,
     gauge_factor,
-    hamiltonian_lab,
     hamiltonian_transformed,
     initial_gauge_factor,
     theta,
 )
 from .numeric import (
     InsufficientSpanError,
-    IntegratorFailureError,
     StiffnessError,
     SweepPointError,
     SweepResult,
@@ -45,46 +42,36 @@ from .numeric import (
     evolve_floquet,
     extract_amplitude,
     hf_average,
-    integrate_schrodinger,
     resonance_sweep,
 )
 from .special import (
-    QuadratureSpec,
-    ToleranceNotMetError,
     bessel_j0,
     bessel_j0_zero,
     bessel_j1,
-    integrate,
     struve_h0,
 )
 from .su2 import (
     NonHermitianError,
-    NonUnitAxisError,
     PauliOperator,
     Spinor,
     Vec3,
-    commutator,
-    expect_sz,
     pauli_exponential,
-    rotate_vec,
 )
 
 __all__ = [
     "__version__",
-    "DriveParams", "theta", "hamiltonian_lab", "hamiltonian_transformed",
+    "DriveParams", "theta", "hamiltonian_transformed",
     "gauge_factor", "initial_gauge_factor",
     "MethodId", "EffectiveQuantities", "effective_quantities",
     "ResonantBranchError",
     "omega0", "omega_eff", "omega_ms", "h_eff", "ms_hamiltonian",
-    "gamma1", "gamma2", "gamma1_at_zero", "eta",
+    "gamma1", "gamma2", "eta",
     "propagator", "expect_sz_closed", "amplitude_closed", "slow_initial_state",
-    "TimeSeries", "SweepResult", "evolve_floquet", "integrate_schrodinger", "hf_average",
+    "TimeSeries", "SweepResult", "evolve_floquet", "hf_average",
     "extract_amplitude", "resonance_sweep",
-    "IntegratorFailureError", "StiffnessError", "InsufficientSpanError",
-    "SweepPointError",
-    "QuadratureSpec", "ToleranceNotMetError", "integrate",
+    "StiffnessError", "InsufficientSpanError", "SweepPointError",
     "bessel_j0", "bessel_j1", "bessel_j0_zero", "struve_h0",
-    "Vec3", "Spinor", "PauliOperator", "expect_sz", "commutator",
-    "pauli_exponential", "rotate_vec",
-    "NonHermitianError", "NonUnitAxisError",
+    "Vec3", "Spinor", "PauliOperator",
+    "pauli_exponential",
+    "NonHermitianError",
 ]

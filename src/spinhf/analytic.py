@@ -13,8 +13,7 @@ place that decides the branch); the public functions read its fields.
 The slow constants J0, a, b and the gamma pair depend on the fast drive
 (r, phi_hf) alone, so _drive computes them once per drive, and the
 parameter sets of a sweep share them. They are Jacobi-Anger sums over
-one Bessel row; the adaptive quadrature of gamma1/gamma2(r, spec) is
-their oracle. The gamma pair's outer integrals run on a Gauss-Legendre
+one Bessel row. The gamma pair's outer integrals run on a Gauss-Legendre
 rule of one of four sizes; a record per size (_gauss_rule), built at its
 first use, holds its nodes, weights and the sin/cos bases of the
 Jacobi-Anger sums there, so a fresh r costs one Bessel row and two
@@ -33,7 +32,6 @@ import numpy as np
 
 from . import model, special, su2
 from .model import DriveParams, TWO_PI
-from .special import CumulativeIntegral, QuadratureSpec, integrate
 from .su2 import PauliOperator, Spinor, Vec3
 
 RESONANCE_EPS = 1e-9
@@ -172,28 +170,6 @@ def _rule_gamma_pair(rule: tuple, r: float) -> tuple[float, float]:
     )
 
 
-def _quadrature_gamma_pair(r: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """The gamma pair by adaptive quadrature, independent of the Bessel row
-    (J0 and H0 come from the cumulative integrals at pi): the oracle."""
-    cum_cos = CumulativeIntegral(lambda u: math.cos(r * math.sin(u)), 0.0, TWO_PI)
-    cum_sin = CumulativeIntegral(lambda u: math.sin(r * math.sin(u)), 0.0, TWO_PI)
-    # Triple integral with both inner variables independent on [0, phi]:
-    # reduces exactly to the product of the two cumulative integrals.
-    triple = integrate(
-        lambda phi: math.sin(r * math.sin(phi)) * cum_cos(phi) * cum_sin(phi),
-        0.0, TWO_PI, spec,
-    )
-    single = integrate(lambda phi: phi * phi * math.cos(r * math.sin(phi)), 0.0, TWO_PI, spec)
-    double = integrate(
-        lambda phi: phi * (
-            math.cos(r * math.sin(phi)) * cum_cos(phi)
-            + math.sin(r * math.sin(phi)) * cum_sin(phi)
-        ),
-        0.0, TWO_PI, spec,
-    )
-    return _combine_gamma(cum_cos(math.pi) / math.pi, cum_sin(math.pi) / math.pi, triple, single, double)
-
-
 def _combine_gamma(j0, h0, triple, single, double) -> tuple[float, float]:
     g1 = 0.5 * math.pi**2 * j0 * h0 * h0 + (2.0 / math.pi) * triple
     g2 = (
@@ -205,29 +181,22 @@ def _combine_gamma(j0, h0, triple, single, double) -> tuple[float, float]:
     return float(g1), float(g2)
 
 
-def _gamma_pair(r: float, spec: Optional[QuadratureSpec] = None) -> tuple[float, float]:
+def _gamma_pair(r: float, _unused=None) -> tuple[float, float]:
+    # perfbench/tracer.py wraps this choke point and calls it as _gamma_pair(r, None)
     if r < 0.0:
         raise ValueError(f"gamma functions are defined for r >= 0, got {r!r}")
     special.require_domain(r, "bessel_j0")  # the node count and row grow with r
-    if spec is not None:
-        return _quadrature_gamma_pair(r, spec)
     return _default_gamma_pair(float(r))
 
 
-def gamma1(r: float, spec: Optional[QuadratureSpec] = None) -> float:
-    """Triple-integral correction coefficient (first of the pair); a spec
-    selects the adaptive-quadrature oracle of the spectral route, uncached."""
-    return _gamma_pair(r, spec)[0]
+def gamma1(r: float) -> float:
+    """Triple-integral correction coefficient (first of the pair)."""
+    return _gamma_pair(r)[0]
 
 
-def gamma2(r: float, spec: Optional[QuadratureSpec] = None) -> float:
-    """Double-integral correction coefficient (second of the pair); as gamma1."""
-    return _gamma_pair(r, spec)[1]
-
-
-def gamma1_at_zero(j: int) -> float:
-    """gamma1 evaluated at the j-th zero of J0 (cached via the zero's value)."""
-    return gamma1(special.bessel_j0_zero(j))
+def gamma2(r: float) -> float:
+    """Double-integral correction coefficient (second of the pair)."""
+    return _gamma_pair(r)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Physical model: drive parameters, lab and rotating-frame Hamiltonians.
+"""Physical model: drive parameters, the rotating-frame Hamiltonian and
+the gauge factors that relate it to the lab frame.
 
 Everything is in dimensionless units with the rotating-field frequency
 as the unit (omega = 1); callers supply frequency ratios.
@@ -90,14 +91,6 @@ class DriveParams:
 def theta(t: float, p: DriveParams) -> float:
     """Accumulated HF phase angle r sin(Omega_HF t + phi)."""
     return p.r * math.sin(p.Omega_HF * t + p.phi_hf)
-
-
-def hamiltonian_lab(t: float, p: DriveParams) -> PauliOperator:
-    """Lab-frame Hamiltonian at time t (traceless, Hermitian)."""
-    hx = -0.5 * p.omega_perp * math.cos(t)
-    hy = -0.5 * p.omega_perp * math.sin(t)
-    hz = -0.5 * (p.omega_par + p.omega_hf * math.cos(p.Omega_HF * t + p.phi_hf))
-    return PauliOperator.hermitian(0.0, Vec3(hx, hy, hz))
 
 
 def hamiltonian_transformed(t0: float, p: DriveParams) -> PauliOperator:

@@ -1,27 +1,24 @@
-"""Ground-truth engines: numerical solution of the Schrodinger equation,
+"""Ground truth: numerical solution of the Schrodinger equation,
 high-frequency averaging, amplitude extraction and resonance sweeps.
 
-Two independent engines solve the exact dynamics. `evolve_floquet` is
-the fast one behind the CLI and the sweeps: in the rotating frame the
-Hamiltonian is periodic with the HF period T, so a table of U over one
-period, built from fourth-order Magnus steps, and U(T)^n in closed form
-give the state at any time (stroboscopic Floquet evolution). A sample at
-t = nT + s is the dot product of the Heisenberg vector of sigma_z under
-U(s) with the Bloch vector of U(T)^n psi0; on the default grid the
-samples take 32 phases s, each evaluated once. The engine takes a batch
-of drives: `resonance_sweep` runs its whole numeric column through it at
-once, and `evolve_floquet` is the same engine on one drive. Every
-operation is elementwise, so a drive's output does not depend on its
-batch. `integrate_schrodinger` is the oracle: an embedded adaptive
-Runge-Kutta 5(4) pair on the two complex state amplitudes, stepped in
-the lab frame, its step capped at a twentieth of the HF period.
+`evolve_floquet` solves the exact dynamics for the CLI and the sweeps.
+In the rotating frame the Hamiltonian is periodic with the HF period T,
+so a table of U over one period, built from fourth-order Magnus steps,
+and U(T)^n in closed form give the state at any time (stroboscopic
+Floquet evolution). A sample at t = nT + s is the dot product of the
+Heisenberg vector of sigma_z under U(s) with the Bloch vector of
+U(T)^n psi0; on the default grid the samples take 32 phases s, each
+evaluated once. The engine takes a batch of drives: `resonance_sweep`
+runs its whole numeric column through it at once, and `evolve_floquet`
+is the same engine on one drive. Every operation is elementwise, so a
+drive's output does not depend on its batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +28,6 @@ from .su2 import ZERO_VEC, PauliOperator, Spinor, Vec3
 
 VALUE_SLACK = 1e-9
 _TOL_RANGE = (1e-12, 1e-6)
-_RENORM_THRESHOLD = 1e-10
-_NORM_FAILURE = 1e-6
 OMEGA_FLOOR = 1e-3  # sweep horizon guard for vanishing slow frequency
 # rows of one sample grid: a row costs at least 16 bytes (its time and its
 # value), so a grid holds at most 1 GiB
@@ -40,13 +35,9 @@ _MAX_SAMPLES = 1 << 26
 _BATCH_ROWS = 1 << 20  # samples one sweep batch holds (16 MiB of times and values)
 
 
-class IntegratorFailureError(RuntimeError):
-    """State norm drifted beyond recovery between renormalizations."""
-
-
 class StiffnessError(RuntimeError):
-    """The step size underflowed (RK) or the substep count reached its cap
-    (Floquet); the problem is stiffer than the engine handles."""
+    """The Magnus substep count reached its cap, or the period propagator
+    is not finite; the problem is stiffer than the engine handles."""
 
 
 class InsufficientSpanError(ValueError):
@@ -70,7 +61,6 @@ class TimeSeries:
     values: np.ndarray
     method: str
     params: DriveParams
-    norm_drift: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -153,64 +143,13 @@ class SweepResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# Adaptive RK 5(4) integration
-
-# Dormand-Prince tableau
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_A71, _A73, _A74, _A75, _A76 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
-
-def _rhs_lab(p: DriveParams) -> Callable:
-    half_perp = 0.5 * p.omega_perp
-    opar = p.omega_par
-    whf = p.omega_hf
-    ohf = p.Omega_HF
-    phi = p.phi_hf
-    cos, sin = math.cos, math.sin
-
-    def rhs(t: float, u: complex, d: complex):
-        hx = -half_perp * cos(t)
-        hy = -half_perp * sin(t)
-        hz = -0.5 * (opar + whf * cos(ohf * t + phi))
-        hm = complex(hx, -hy)
-        return -1j * (hz * u + hm * d), -1j * (hm.conjugate() * u - hz * d)
-
-    return rhs
-
-
 def default_sample_dt(p: DriveParams) -> float:
     return (TWO_PI / p.Omega_HF) / 32.0
 
 
 def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
     """The sample grid k * sample_dt, k = 0, 1, ..., keeping exactly the
-    k with k * sample_dt <= t_end (integrate_schrodinger's samples)."""
+    k with k * sample_dt <= t_end."""
     return np.arange(_sample_count(t_end, sample_dt)) * sample_dt
 
 
@@ -236,125 +175,6 @@ def _sample_count(t_end: float, sample_dt: float) -> int:
     while last * sample_dt > t_end:
         last -= 1
     return last + 1
-
-
-def integrate_schrodinger(
-    p: DriveParams,
-    init: Spinor,
-    t_end: float,
-    sample_dt: Optional[float] = None,
-    tol: float = 1e-8,
-) -> tuple[TimeSeries, Spinor]:
-    """Integrate i dpsi/dt = H(t) psi in the lab frame from t = 0 and
-    sample <sigma_z>.
-
-    Samples are recorded at exact multiples of sample_dt (default: a
-    thirty-second of the HF period). Returns the series and the final
-    state. The state is projected back onto the unit sphere after every
-    accepted step. The series' norm_drift diagnostic is the sum of the
-    per-step norm deviations |norm - 1| above 1e-10, taken before each
-    projection. It grows with the horizon and with tol: at the default
-    tol = 1e-8 it is nonzero in normal operation (3.6e-6 at
-    omega_perp = 3, omega_par = -1, r = 1, phi_hf = pi/2, Omega_HF = 50,
-    t_end = 100), while at tol = 1e-10 it stays 0.0 there.
-    """
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end!r}")
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
-    rhs = _rhs_lab(p)
-    if sample_dt is None:
-        sample_dt = default_sample_dt(p)
-    if not sample_dt > 0.0:
-        raise ValueError(f"sample_dt must be > 0, got {sample_dt!r}")
-
-    h_max = (TWO_PI / p.Omega_HF) / 20.0
-    u = complex(init.up)
-    d = complex(init.down)
-    t = 0.0
-    drift = 0.0
-    times = [0.0]
-    values = [(u.real * u.real + u.imag * u.imag) - (d.real * d.real + d.imag * d.imag)]
-    next_k = 1
-    next_sample = sample_dt
-
-    k1u, k1d = rhs(t, u, d)
-    h = min(h_max, sample_dt)
-    abs_ = abs
-
-    while t < t_end:
-        target = next_sample if next_sample < t_end else t_end
-        clipped = t + h >= target
-        h_try = (target - t) if clipped else h
-
-        # Dormand-Prince stages (k7 = FSAL)
-        yu = u + h_try * (_A21 * k1u)
-        yd = d + h_try * (_A21 * k1d)
-        k2u, k2d = rhs(t + _C2 * h_try, yu, yd)
-        yu = u + h_try * (_A31 * k1u + _A32 * k2u)
-        yd = d + h_try * (_A31 * k1d + _A32 * k2d)
-        k3u, k3d = rhs(t + _C3 * h_try, yu, yd)
-        yu = u + h_try * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        yd = d + h_try * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
-        k4u, k4d = rhs(t + _C4 * h_try, yu, yd)
-        yu = u + h_try * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        yd = d + h_try * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-        k5u, k5d = rhs(t + _C5 * h_try, yu, yd)
-        yu = u + h_try * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        yd = d + h_try * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d)
-        k6u, k6d = rhs(t + h_try, yu, yd)
-        nu = u + h_try * (_A71 * k1u + _A73 * k3u + _A74 * k4u + _A75 * k5u + _A76 * k6u)
-        nd = d + h_try * (_A71 * k1d + _A73 * k3d + _A74 * k4d + _A75 * k5d + _A76 * k6d)
-        t_new = target if clipped else t + h_try
-        k7u, k7d = rhs(t_new, nu, nd)
-
-        eu = h_try * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-        ed = h_try * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d + _E7 * k7d)
-        scu = tol * (1.0 + abs_(u))
-        scd = tol * (1.0 + abs_(d))
-        err = math.sqrt(0.5 * ((abs_(eu) / scu) ** 2 + (abs_(ed) / scd) ** 2))
-
-        if err <= 1.0:
-            t = t_new
-            u, d = nu, nd
-            k1u, k1d = k7u, k7d
-            norm2 = u.real * u.real + u.imag * u.imag + d.real * d.real + d.imag * d.imag
-            dev = abs_(math.sqrt(norm2) - 1.0)
-            if dev > _RENORM_THRESHOLD:
-                if dev > _NORM_FAILURE:
-                    raise IntegratorFailureError(
-                        f"norm drift {dev:.3e} at t = {t:.6g} exceeds {_NORM_FAILURE}"
-                    )
-                drift += dev
-            if norm2 != 1.0:
-                # project back onto the unit sphere every step; the RHS is
-                # linear so the FSAL stage rescales exactly
-                scale = 1.0 / math.sqrt(norm2)
-                u *= scale
-                d *= scale
-                k1u *= scale
-                k1d *= scale
-            if t == next_sample:
-                times.append(t)
-                values.append(
-                    (u.real * u.real + u.imag * u.imag) - (d.real * d.real + d.imag * d.imag)
-                )
-                next_k += 1
-                next_sample = next_k * sample_dt
-            fac = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
-            h = min(h_max, h_try * fac)
-        else:
-            h = h_try * max(0.2, 0.9 * err ** -0.2)
-        if h < 1e-14 * max(1.0, t):
-            raise StiffnessError(f"step size underflow (h = {h:.3e}) at t = {t:.6g}")
-
-    norm = math.sqrt(u.real * u.real + u.imag * u.imag + d.real * d.real + d.imag * d.imag)
-    final = Spinor(u / norm, d / norm)
-    series = TimeSeries(
-        times=np.array(times), values=np.array(values),
-        method="numeric[lab]", params=p, norm_drift=drift,
-    )
-    return series, final
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +418,12 @@ def _evolve_drives(
     return out
 
 
-def _check_run(t_end: float, tol: float) -> None:
+def _check_horizon(t_end: float) -> None:
     if not t_end / _MAGNUS_MAX_SUBSTEPS > 0.0:  # the finest Magnus substep
         raise ValueError(f"t_end must be > 0, and t_end / 2^17 too, got {t_end!r}")
+
+
+def _check_tol(tol: float) -> None:
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ValueError(f"tol {tol!r} outside supported range {_TOL_RANGE}")
 
@@ -614,10 +437,12 @@ def evolve_floquet(
 ) -> tuple[TimeSeries, Spinor]:
     """Solve i dpsi/dt = H(t) psi from t = 0 and sample <sigma_z>, stroboscopically.
 
-    Same sample grid (sample_times: exact multiples of sample_dt up to
-    t_end; default a thirty-second of the HF period, which it need not
-    divide), return values and validation as integrate_schrodinger. In
-    the rotating frame (model.hamiltonian_transformed) the Hamiltonian has period
+    Returns the series and the lab-frame state at t_end. The samples lie
+    on sample_times: exact multiples of sample_dt up to t_end (default a
+    thirty-second of the HF period, which it need not divide). t_end,
+    and t_end / 2^17, must be > 0, sample_dt > 0 and tol in
+    [1e-12, 1e-6]; anything else raises ValueError. In the rotating
+    frame (model.hamiltonian_transformed) the Hamiltonian has period
     T = 2 pi / Omega_HF, and <sigma_z> is the same in both frames. One
     period is split into N fourth-order Magnus substeps; N doubles from 64
     until U(T) moves by at most tol * T, and StiffnessError is raised past
@@ -625,14 +450,14 @@ def evolve_floquet(
     When sample_dt divides the span, each of its phases costs one partial
     Magnus step and every sample one dot product (_evolve_drives); other
     grids cost a step per sample, in chunks of fixed size. Beyond the
-    output arrays memory does not grow with the horizon. The final state is
-    the lab-frame state at t_end. norm_drift is 0.0: every propagator is an
-    exact SU(2) product, so there is no norm to restore.
+    output arrays memory does not grow with the horizon. Every propagator
+    is an exact SU(2) product, so the state keeps its norm to rounding.
 
     It is the batched engine of resonance_sweep on one drive, with float
     drive values and 1-D arrays; a drive's output is the same in a batch.
     """
-    _check_run(t_end, tol)
+    _check_horizon(t_end)
+    _check_tol(tol)
     run = _evolve_drives([p], init, [t_end], [sample_dt], tol)[0]
     if isinstance(run, StiffnessError):
         raise run
@@ -676,10 +501,7 @@ def hf_average(series: TimeSeries, p: DriveParams) -> TimeSeries:
     vals = np.convolve(series.values, kernel, mode="valid")
     n = series.times.size
     times = 0.5 * (series.times[: n - w + 1] + series.times[w - 1 :])
-    return TimeSeries(
-        times=times, values=vals, method=f"{series.method}+hfavg",
-        params=p, norm_drift=series.norm_drift,
-    )
+    return TimeSeries(times=times, values=vals, method=f"{series.method}+hfavg", params=p)
 
 
 def extract_amplitude(series: TimeSeries, p: DriveParams) -> float:
@@ -716,7 +538,7 @@ def _numeric_amplitudes(points: Sequence[DriveParams], tol: float, t_end: Option
             horizon = t_end if t_end is not None else (
                 1.5 * TWO_PI / max(abs(analytic.omega_ms(p)), OMEGA_FLOOR)
             )
-            _check_run(horizon, tol)
+            _check_horizon(horizon)
             n = _sample_count(horizon, default_sample_dt(p))
         except Exception as exc:
             out[k] = exc
@@ -757,7 +579,8 @@ def resonance_sweep(
     (analytic._drive). Closed-form failures are reported first, then the
     numeric ones in grid order; a failure fails its own point only.
     on_error = "raise" raises the first of them; "collect" records NaN
-    and continues. A t_end no point can run raises ValueError first.
+    and continues. A t_end no point can run, or with "numeric" a tol
+    that evolve_floquet rejects, raises ValueError first.
     """
     grid = [float(w) for w in omega_par_grid]
     if not grid:
@@ -772,10 +595,12 @@ def resonance_sweep(
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if on_error not in ("raise", "collect"):
         raise ValueError(f"on_error must be 'raise' or 'collect', got {on_error!r}")
-    if t_end is not None:  # a horizon no point can run is a usage error
-        if not t_end / _MAGNUS_MAX_SUBSTEPS > 0.0:
-            raise ValueError(f"t_end must be > 0, and t_end / 2^17 too, got {t_end!r}")
+    # a horizon no point can run, or a tol no point can run, is a usage error
+    if t_end is not None:
+        _check_horizon(t_end)
         _sample_count(t_end, default_sample_dt(p_template))
+    if "numeric" in methods:
+        _check_tol(tol)
 
     points = [
         DriveParams(

@@ -1,55 +1,20 @@
-"""Special functions and quadrature.
+"""Special functions: Bessel J0/J1, the zeros of J0, Struve H0 and a
+fixed Gauss-Legendre rule.
 
-Bessel J0/J1, the zeros of J0 and Struve H0 derive from one Bessel row
-J_0..J_K(x) (Miller's backward recurrence), with absolute error 1e-12 on
-the working domain |x| <= 50. Also a fixed Gauss-Legendre rule, and an
-adaptive Gauss-Kronrod integrator with precomputed cumulative integrals,
-whose tolerances are caller-controlled (the slow constants' oracle).
+J0, J1 and H0 derive from one Bessel row J_0..J_K(x) (Miller's backward
+recurrence), with absolute error 1e-12 on the working domain |x| <= 50.
+The Gauss-Legendre rule carries the outer integrals of the gamma pair
+(analytic).
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 BESSEL_DOMAIN = 50.0
-_MAX_PANELS = 200_000
-_CUMULATIVE_PANELS = 512  # uniform panel grid of CumulativeIntegral
-
-
-class ToleranceNotMetError(ArithmeticError):
-    """Adaptive quadrature exhausted its refinement budget.
-
-    Carries the best available estimate and its error bound.
-    """
-
-    def __init__(self, message: str, best_estimate: float, error_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
-
-
-@dataclass(frozen=True, slots=True)
-class QuadratureSpec:
-    """Tolerance and refinement budget for the adaptive integrator."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_refinements: int = 30
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -171,136 +136,3 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-# ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature
-
-# 15-point Kronrod nodes (positive half) and weights with the embedded
-# 7-point Gauss weights, standard values.
-_XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel: (Kronrod value, |Kronrod - Gauss|)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    if not math.isfinite(fc):
-        raise ValueError(f"integrand not finite at x = {mid!r}")
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise ValueError(f"integrand not finite near x = {mid!r}")
-        kron += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (f1 + f2)
-    return kron * half, abs(kron - gauss) * abs(half)
-
-
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Adaptive integral of f over [lo, hi].
-
-    Bisects the panel with the largest error estimate until the summed
-    estimate meets max(abs_tol, rel_tol * |result|); deterministic for
-    fixed inputs. Raises ToleranceNotMetError (best estimate attached)
-    when the worst panel has already been refined max_refinements times.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integration bounds must be finite")
-    if lo > hi:
-        raise ValueError(f"integration bounds out of order: {lo!r} > {hi!r}")
-    if lo == hi:
-        return 0.0
-    val, err = _gk15(f, lo, hi)
-    # heap entries: (-error, left, right, depth, value); left edge breaks ties
-    heap = [(-err, lo, hi, 0, val)]
-    total = val
-    total_err = err
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        neg_err, a, b, depth, v = heapq.heappop(heap)
-        if depth >= spec.max_refinements or len(heap) >= _MAX_PANELS:
-            heapq.heappush(heap, (neg_err, a, b, depth, v))
-            best = math.fsum(item[4] for item in heap)
-            raise ToleranceNotMetError(
-                f"quadrature stalled on [{a!r}, {b!r}] after {depth} refinements "
-                f"(error estimate {total_err:.3e})",
-                best, total_err,
-            )
-        mid = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) + neg_err
-        heapq.heappush(heap, (-e1, a, mid, depth + 1, v1))
-        heapq.heappush(heap, (-e2, mid, b, depth + 1, v2))
-    return math.fsum(item[4] for item in heap)
-
-
-class CumulativeIntegral:
-    """Antiderivative F(x) = int_lo^x f for smooth f, precomputed once.
-
-    Kronrod prefix sums over a fixed uniform panel grid; an evaluation
-    adds one partial panel. Panel-rule accuracy is far below 1e-12 for
-    the trigonometric integrands used here with _CUMULATIVE_PANELS.
-    """
-
-    __slots__ = ("_f", "_lo", "_hi", "_h", "_prefix")
-
-    def __init__(self, f: Callable[[float], float], lo: float, hi: float):
-        if hi <= lo:
-            raise ValueError("CumulativeIntegral requires hi > lo")
-        self._f = f
-        self._lo = lo
-        self._hi = hi
-        self._h = (hi - lo) / _CUMULATIVE_PANELS
-        prefix = [0.0]
-        running = 0.0
-        for k in range(_CUMULATIVE_PANELS):
-            running += _gk15(f, lo + k * self._h, lo + (k + 1) * self._h)[0]
-            prefix.append(running)
-        self._prefix = prefix
-
-    def __call__(self, x: float) -> float:
-        if x < self._lo - 1e-12 or x > self._hi + 1e-12:
-            raise ValueError(f"argument {x!r} outside table domain [{self._lo}, {self._hi}]")
-        u = min(max(x, self._lo), self._hi)
-        k = min(int((u - self._lo) / self._h), len(self._prefix) - 2)
-        start = self._lo + k * self._h
-        if u == start:
-            return self._prefix[k]
-        return self._prefix[k] + _gk15(self._f, start, u)[0]

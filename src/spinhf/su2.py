@@ -15,15 +15,10 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
-UNIT_AXIS_TOL = 1e-12
 
 
 class NonHermitianError(ValueError):
     """An operator that must be Hermitian has complex structure where it may not."""
-
-
-class NonUnitAxisError(ValueError):
-    """A rotation axis is not normalized to unit length."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,11 +107,6 @@ class Spinor:
         return Vec3(2.0 * cross.real, 2.0 * cross.imag, abs(self.up) ** 2 - abs(self.down) ** 2)
 
 
-def expect_sz(psi: Spinor) -> float:
-    """<sigma_z> = |up|^2 - |down|^2, in [-1, 1]."""
-    return abs(psi.up) ** 2 - abs(psi.down) ** 2
-
-
 @dataclass(frozen=True, slots=True)
 class PauliOperator:
     """Operator s*I + vx*sx + vy*sy + vz*sz with complex coefficients."""
@@ -199,22 +189,12 @@ class PauliOperator:
         down = (self.vx + 1j * self.vy) * psi.up + (self.s - self.vz) * psi.down
         return Spinor(up, down)
 
-    def expectation(self, psi: Spinor) -> complex:
-        u, d = psi.up, psi.down
-        au = (self.s + self.vz) * u + (self.vx - 1j * self.vy) * d
-        ad = (self.vx + 1j * self.vy) * u + (self.s - self.vz) * d
-        return u.conjugate() * au + d.conjugate() * ad
-
 
 IDENTITY = PauliOperator(1.0 + 0j, 0j, 0j, 0j)
 ZERO_OP = PauliOperator(0j, 0j, 0j, 0j)
 SIGMA_X = PauliOperator(0j, 1.0 + 0j, 0j, 0j)
 SIGMA_Y = PauliOperator(0j, 0j, 1.0 + 0j, 0j)
 SIGMA_Z = PauliOperator(0j, 0j, 0j, 1.0 + 0j)
-
-
-def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a @ b - b @ a
 
 
 def pauli_exponential(h: PauliOperator, t: float) -> PauliOperator:
@@ -235,15 +215,3 @@ def pauli_exponential(h: PauliOperator, t: float) -> PauliOperator:
     f = phase * (-1j * math.sin(ang) / vnorm)
     return PauliOperator(phase * math.cos(ang), f * wx, f * wy, f * wz)
 
-
-def rotate_vec(a: Vec3, n: Vec3, angle: float) -> Vec3:
-    """Counterclockwise rotation of ``a`` about the unit axis ``n``."""
-    if abs(n.norm() - 1.0) > UNIT_AXIS_TOL:
-        raise NonUnitAxisError(f"axis norm {n.norm()!r} differs from 1 beyond {UNIT_AXIS_TOL}")
-    na = n.dot(a)
-    c, sn = math.cos(angle), math.sin(angle)
-    return Vec3(
-        na * n.x + c * (a.x - na * n.x) + sn * (n.y * a.z - n.z * a.y),
-        na * n.y + c * (a.y - na * n.y) + sn * (n.z * a.x - n.x * a.z),
-        na * n.z + c * (a.z - na * n.z) + sn * (n.x * a.y - n.y * a.x),
-    )

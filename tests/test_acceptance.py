@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from oracles import integrate_schrodinger
 from spinhf import special, su2
 from spinhf.analytic import (
     MethodId,
@@ -27,7 +28,7 @@ from spinhf.analytic import (
     slow_initial_state,
 )
 from spinhf.model import TWO_PI, DriveParams, hamiltonian_transformed
-from spinhf.numeric import hf_average, integrate_schrodinger, resonance_sweep
+from spinhf.numeric import hf_average, resonance_sweep
 from spinhf.su2 import Spinor
 
 R1 = special.bessel_j0_zero(1)
@@ -71,7 +72,7 @@ def test_criterion_2_exact_limit():
     worst = 0.0
     for wpar in (-1.0, 0.0, 1.0):
         p = params(omega_par=wpar, r=0.0)
-        series, _ = integrate_schrodinger(p, Spinor.plus(), 20.0, tol=1e-10)
+        series, _, _ = integrate_schrodinger(p, Spinor.plus(), 20.0, tol=1e-10)
         closed = expect_sz_closed(MethodId.EXACT_R0, series.times, p, Spinor.plus())
         worst = max(worst, float(np.max(np.abs(series.values - closed))))
     elapsed = time.perf_counter() - t0
@@ -110,14 +111,14 @@ def test_criterion_4_resonant_dephasing():
     p = params()
     plus = Spinor.plus()
 
-    series, _ = integrate_schrodinger(p, plus, 6.0)
+    series, _, _ = integrate_schrodinger(p, plus, 6.0)
     avg = hf_average(series, p)
     ms_early = expect_sz_closed(MethodId.MULTI_SCALE, avg.times, p, plus)
     av_early = expect_sz_closed(MethodId.AVERAGING, avg.times, p, plus)
     dev_ms_early = float(np.max(np.abs(ms_early - avg.values)))
     dev_av_early = float(np.max(np.abs(av_early - avg.values)))
 
-    series, _ = integrate_schrodinger(p, plus, 1706.0)
+    series, _, _ = integrate_schrodinger(p, plus, 1706.0)
     late = hf_average(series, p)
     mask = late.times >= 1700.0
     lt = late.times[mask]
@@ -150,12 +151,12 @@ def test_criterion_5_degenerate_branch():
 
     p_branch = params(r=R1)
     w_ms = omega_ms(p_branch)
-    series, _ = integrate_schrodinger(p_branch, plus, 1000.0)
+    series, _, _ = integrate_schrodinger(p_branch, plus, 1000.0)
     avg = hf_average(series, p_branch)
     dev_cos = float(np.max(np.abs(avg.values - np.cos(w_ms * avg.times))))
 
     p_off = params(omega_par=-1.1, r=R1)
-    series, _ = integrate_schrodinger(p_off, plus, 6.0)
+    series, _, _ = integrate_schrodinger(p_off, plus, 6.0)
     off_min = float(hf_average(series, p_off).values.min())
 
     grid = np.linspace(-1.02, -0.98, 9)
@@ -190,8 +191,8 @@ def test_criterion_6_phase_gauge_pair():
     init_a = Spinor.superposition(c, 0.0)
     init_b = Spinor.superposition(c, R1)
 
-    series_a, _ = integrate_schrodinger(p_a, init_a, 1000.0)
-    series_b, _ = integrate_schrodinger(p_b, init_b, 1000.0)
+    series_a, _, _ = integrate_schrodinger(p_a, init_a, 1000.0)
+    series_b, _, _ = integrate_schrodinger(p_b, init_b, 1000.0)
     avg_a = hf_average(series_a, p_a)
     avg_b = hf_average(series_b, p_b)
     ts = avg_a.times

@@ -16,7 +16,6 @@ from spinhf.analytic import (
     eta_via_vectors,
     expect_sz_closed,
     gamma1,
-    gamma1_at_zero,
     gamma2,
     h0_op,
     h_eff,
@@ -30,16 +29,16 @@ from spinhf.analytic import (
     sigma_op,
     slow_initial_state,
 )
+from oracles import QuadratureSpec, integrate, integrate_schrodinger, quadrature_gamma_pair
 from spinhf.model import TWO_PI, DriveParams, hamiltonian_transformed, initial_gauge_factor
-from spinhf.numeric import hf_average, integrate_schrodinger, resonance_sweep
-from spinhf.special import DEFAULT_QUADRATURE, QuadratureSpec, integrate
-from spinhf.su2 import Spinor, Vec3, expect_sz
+from spinhf.numeric import hf_average, resonance_sweep
+from spinhf.su2 import Spinor, Vec3
 
 R1 = 2.404825557695773
 
 # Frozen from high-resolution independent evaluations (cumulative Simpson
 # on the unreduced integrals, 1e-12 target); the other gamma values are
-# those the package's adaptive quadrature converges to.
+# those the adaptive quadrature oracle (oracles.py) converges to.
 GAMMA1_AT_1_ORACLE = -0.6845326710662112
 GAMMA2_AT_1_ORACLE = -0.3939762631457828
 GAMMA1_AT_1 = -0.6845326710661928
@@ -110,21 +109,16 @@ def test_gamma_rejects_negative_argument():
         gamma1(-0.5)
     # outside the Bessel domain both routes raise before any work
     for r in (50.5, 1e9):
-        for spec in (None, DEFAULT_QUADRATURE):
+        for route in (gamma1, quadrature_gamma_pair):
             with pytest.raises(ValueError, match=r"^bessel_j0 argument \|x\| = .* outside"):
-                gamma1(r, spec)
+                route(r)
     for r in (math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^bessel_j0 requires a finite argument"):
             gamma2(r)
 
 
-def test_gamma1_at_zero_helper():
-    assert gamma1_at_zero(1) == gamma1(special.bessel_j0_zero(1))
-    assert gamma1_at_zero(2) == gamma1(special.bessel_j0_zero(2))
-
-
 def test_gamma_custom_spec_bypasses_cache():
-    loose = gamma1(1.0, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-6, max_refinements=20))
+    loose = quadrature_gamma_pair(1.0, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-6, max_refinements=20))[0]
     assert abs(loose - GAMMA1_AT_1) < 1e-5
 
 
@@ -148,13 +142,14 @@ def test_gamma_cache_thread_safe():
 
 
 def test_spectral_gamma_pair_matches_quadrature_oracle():
-    # the spec route is the adaptive-quadrature oracle, independent of the
-    # Bessel row; every J0 zero in the domain is included
+    # the adaptive-quadrature oracle is independent of the Bessel row;
+    # every J0 zero in the domain is included
     zeros = [special.bessel_j0_zero(j) for j in range(1, 17)]
     assert zeros[-1] < special.BESSEL_DOMAIN < special.bessel_j0_zero(17)
     for r in [float(r) for r in np.linspace(0.0, 50.0, 11)] + [0.3, 16.0, 16.1] + zeros:
-        assert abs(gamma1(r) - gamma1(r, DEFAULT_QUADRATURE)) < 1e-12, r
-        assert abs(gamma2(r) - gamma2(r, DEFAULT_QUADRATURE)) < 1e-12, r
+        g1, g2 = quadrature_gamma_pair(r)
+        assert abs(gamma1(r) - g1) < 1e-12, r
+        assert abs(gamma2(r) - g2) < 1e-12, r
 
 
 def test_gamma_node_count_has_converged():
@@ -701,7 +696,7 @@ def test_eigenstate_trace_matches_propagator_route():
         for init in inits:
             closed = expect_sz_closed(method, ts, p, init)
             assert isinstance(closed, np.ndarray) and closed.shape == ts.shape
-            via_u = [expect_sz(propagator(method, float(t), p).apply(init)) for t in ts]
+            via_u = [propagator(method, float(t), p).apply(init).bloch().z for t in ts]
             assert np.max(np.abs(closed - via_u)) < 1e-12, (method, p, init)
     single = expect_sz_closed(MethodId.MULTI_SCALE, 7.3, params(omega_par=0.3), inits[3])
     assert type(single) is float
@@ -798,7 +793,7 @@ def test_kicked_state_removes_first_order_error_of_ms_trace():
         bare, kicked = [], []
         for big in (50.0, 100.0, 200.0):
             p = params(omega_par=wpar, Omega_HF=big, r=r, phi_hf=0.0)
-            series, _ = integrate_schrodinger(p, init, 20.0)
+            series, _, _ = integrate_schrodinger(p, init, 20.0)
             avg = hf_average(series, p)
             for start, gaps in ((init, bare), (slow_initial_state(p, init), kicked)):
                 ms = expect_sz_closed(MethodId.MULTI_SCALE, avg.times, p, start)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinhf
-from spinhf import __version__
+from spinhf import __version__, cli
 from spinhf.cli import (
     PRESETS,
     UsageError,
@@ -101,6 +101,28 @@ def test_constants_reports_per_entry_errors(capsys):
     for row, x in zip(rows[1:], ("inf", "nan")):
         # J0, gamma1 and gamma2 (the message holds a comma)
         assert row.count(f",error: bessel_j0 requires a finite argument, got {x}") == 3
+
+
+def test_constants_rejects_bad_zero_counts(tmp_path, capsys):
+    # an integer from 0 to the cap, from the flag or the config file; every
+    # rejected count exits 2 before the listing loop runs
+    cap = cli._MAX_ZEROS
+    cfg = tmp_path / "zeros.json"
+    for value in (-1, cap + 1, True, 2.5, "3", None, math.inf, -math.inf, math.nan):
+        cfg.write_text(json.dumps({"zeros": value}))
+        assert main(["constants", "--config", str(cfg)]) == 2, value
+        assert capsys.readouterr().err.startswith("error: --zeros must be"), value
+    for value in ("-1", str(cap + 1)):
+        assert main(["constants", f"--zeros={value}"]) == 2, value
+        assert capsys.readouterr().err.startswith("error: --zeros must be"), value
+    with pytest.raises(SystemExit) as exc_info:
+        main(["constants", "--zeros=2.5"])
+    assert exc_info.value.code == 2
+    capsys.readouterr()
+    # an integral float from a config file is an integer
+    cfg.write_text(json.dumps({"zeros": 2.0}))
+    assert main(["constants", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"r_{j} = {bessel_j0_zero(j):.10f}" for j in (1, 2)]
 
 
 # --- evolve ----------------------------------------------------------------------
@@ -457,6 +479,22 @@ def test_unbounded_horizon_exits_2_before_out_is_touched(tmp_path):
             assert proc.returncode == 2, case
             assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, case
             assert out.read_bytes() == b"kept\n", case
+
+
+def test_out_of_range_tol_exits_2_before_out_is_touched(tmp_path, capsys):
+    # a tol the Floquet engine rejects is a usage error for every command
+    # that runs it, checked before any point runs or --out is opened
+    out = tmp_path / "out"
+    for command in ("evolve", "compare", "sweep"):
+        for tol in ("1e-3", "1e-15"):
+            out.write_bytes(b"kept\n")
+            argv = [command, "--r", "1", "--methods", "avg,numeric", "--tol", tol, "--out", str(out)]
+            argv += ["--grid", "-2", "0", "3"] if command == "sweep" else ["--t-end", "1"]
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: tol {float(tol)!r} outside supported range (1e-12, 1e-06)\n"
+            ), argv
+            assert out.read_bytes() == b"kept\n", argv
 
 
 # Every scalar option of evolve, compare, sweep (the three --grid fields

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import hamiltonian_lab
 from spinhf.analytic import MethodId, propagator
 from spinhf.model import (
     TWO_PI,
     DriveParams,
     gauge_factor,
-    hamiltonian_lab,
     hamiltonian_transformed,
     initial_gauge_factor,
     theta,

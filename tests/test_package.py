@@ -48,3 +48,62 @@ def test_cli_import_builds_no_gauss_rule():
         "print(analytic._gauss_rule.cache_info().currsize, special.gauss_legendre.cache_info().currsize)"
     )
     assert _fresh(code) == "0 0"
+
+
+def test_public_api_is_pinned():
+    # the runtime API: the engine, the closed forms and their types; the
+    # oracles live beside the tests (tests/oracles.py)
+    assert spinhf.__all__ == [
+        "__version__",
+        "DriveParams", "theta", "hamiltonian_transformed",
+        "gauge_factor", "initial_gauge_factor",
+        "MethodId", "EffectiveQuantities", "effective_quantities",
+        "ResonantBranchError",
+        "omega0", "omega_eff", "omega_ms", "h_eff", "ms_hamiltonian",
+        "gamma1", "gamma2", "eta",
+        "propagator", "expect_sz_closed", "amplitude_closed", "slow_initial_state",
+        "TimeSeries", "SweepResult", "evolve_floquet", "hf_average",
+        "extract_amplitude", "resonance_sweep",
+        "StiffnessError", "InsufficientSpanError", "SweepPointError",
+        "bessel_j0", "bessel_j1", "bessel_j0_zero", "struve_h0",
+        "Vec3", "Spinor", "PauliOperator",
+        "pauli_exponential",
+        "NonHermitianError",
+    ]
+
+
+# names that moved to tests/oracles.py or were deleted, per runtime module
+_GONE = {
+    "numeric": (
+        "integrate_schrodinger", "IntegratorFailureError", "_rhs_lab", "_A21", "_E1",
+        "_RENORM_THRESHOLD", "_NORM_FAILURE",
+    ),
+    "special": (
+        "integrate", "_gk15", "_XGK", "_WGK", "_WG", "CumulativeIntegral", "QuadratureSpec",
+        "DEFAULT_QUADRATURE", "ToleranceNotMetError", "_MAX_PANELS", "_CUMULATIVE_PANELS",
+    ),
+    "model": ("hamiltonian_lab",),
+    "su2": ("commutator", "rotate_vec", "NonUnitAxisError", "UNIT_AXIS_TOL", "expect_sz"),
+    "analytic": ("_quadrature_gamma_pair", "gamma1_at_zero"),
+}
+
+
+def test_cli_import_leaves_oracles_out():
+    # a fresh `import spinhf.cli` loads no oracle: the runtime modules hold
+    # none of the moved or deleted names, and nothing imports tests/oracles.py
+    code = (
+        "import sys, spinhf.cli; from spinhf import analytic, model, numeric, special, su2; "
+        f"gone = {_GONE!r}; "
+        "print(sorted(f'{m}.{n}' for m, names in gone.items() for n in names "
+        "if hasattr(sys.modules['spinhf.' + m], n)), "
+        "hasattr(su2.PauliOperator, 'expectation'), "
+        "sorted(numeric.TimeSeries.__dataclass_fields__), 'oracles' in sys.modules)"
+    )
+    assert _fresh(code) == "[] False ['method', 'params', 'times', 'values'] False"
+
+
+def test_gamma_choke_point_takes_a_second_argument():
+    # perfbench/tracer.py wraps analytic._gamma_pair and calls it as (r, None)
+    from spinhf import analytic
+
+    assert analytic._gamma_pair(1.0, None) == analytic._gamma_pair(1.0) == (spinhf.gamma1(1.0), spinhf.gamma2(1.0))

@@ -3,18 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import CumulativeIntegral, QuadratureSpec, ToleranceNotMetError, integrate
 from spinhf.special import (
     BESSEL_DOMAIN,
-    DEFAULT_QUADRATURE,
-    CumulativeIntegral,
-    QuadratureSpec,
-    ToleranceNotMetError,
     bessel_j0,
     bessel_j0_zero,
     bessel_j1,
     bessel_row,
     gauss_legendre,
-    integrate,
     struve_h0,
 )
 

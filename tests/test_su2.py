@@ -5,22 +5,15 @@ import numpy as np
 import pytest
 
 from spinhf.su2 import (
-    EX,
-    EY,
-    EZ,
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     NonHermitianError,
-    NonUnitAxisError,
     PauliOperator,
     Spinor,
     Vec3,
-    commutator,
-    expect_sz,
     pauli_exponential,
-    rotate_vec,
 )
 
 
@@ -125,23 +118,25 @@ def test_transverse_flip_expectation():
     h = PauliOperator.hermitian(0.0, Vec3(-1.5, 0.0, 0.0))
     u = pauli_exponential(h, math.pi / 3.0)
     psi = u.apply(Spinor.plus())
-    assert abs(expect_sz(psi) - (-1.0)) < 1e-12
+    assert abs(psi.bloch().z - (-1.0)) < 1e-12
 
 
 def test_commutator_basics():
-    assert commutator(SIGMA_X, SIGMA_Y) == PauliOperator(0j, 0j, 0j, 2j)
+    # [a, b] = a b - b a from the Pauli product: 2i (v_a x v_b).sigma
+    assert SIGMA_X @ SIGMA_Y - SIGMA_Y @ SIGMA_X == PauliOperator(0j, 0j, 0j, 2j)
     rng = np.random.default_rng(12)
-    a = random_hermitian(rng)
-    assert commutator(a, a).max_abs() == 0.0
+    a, b = random_hermitian(rng), random_hermitian(rng)
+    want = PauliOperator(0j, *(2j * x for x in a.real_vector().cross(b.real_vector()).as_tuple()))
+    assert (a @ b - b @ a - want).max_abs() < 1e-12
 
 
-def test_rotate_vec_example():
-    n = Vec3(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2))
-    got = rotate_vec(EX, n, math.pi)
-    assert (got - EZ).norm() < 1e-12
+def _rodrigues(a: Vec3, n: Vec3, angle: float) -> Vec3:
+    # counterclockwise rotation of a about the unit axis n
+    na = n.dot(a)
+    return n * na + (a - n * na) * math.cos(angle) + n.cross(a) * math.sin(angle)
 
 
-def test_rotate_vec_matches_conjugation():
+def test_exponential_conjugation_is_rotation():
     # spin rotation U = exp(-i angle n.sigma/2) acts as U (a.sigma) U^dag = (R a).sigma
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -153,22 +148,8 @@ def test_rotate_vec_matches_conjugation():
         u = pauli_exponential(PauliOperator.hermitian(0.0, n * 0.5), angle)
         conj = u @ PauliOperator.hermitian(0.0, a) @ u.adjoint()
         want = conj.real_vector(tol=1e-10)
-        got = rotate_vec(a, n, angle)
+        got = _rodrigues(a, n, angle)
         assert (got - want).norm() < 1e-10
-
-
-def test_rotate_vec_rejects_non_unit_axis():
-    with pytest.raises(NonUnitAxisError):
-        rotate_vec(EX, Vec3(0.0, 0.0, 2.0), 1.0)
-
-
-def test_rotation_preserves_length_and_composes():
-    rng = np.random.default_rng(14)
-    a = Vec3(*rng.uniform(-1, 1, size=3))
-    n = EY
-    assert abs(rotate_vec(a, n, 1.3).norm() - a.norm()) < 1e-13
-    step = rotate_vec(rotate_vec(a, n, 0.4), n, 0.9)
-    assert (step - rotate_vec(a, n, 1.3)).norm() < 1e-13
 
 
 def test_vec3_algebra():
@@ -184,8 +165,8 @@ def test_vec3_algebra():
 
 
 def test_spinor_states():
-    assert expect_sz(Spinor.plus()) == 1.0
-    assert expect_sz(Spinor.minus()) == -1.0
+    assert Spinor.plus().bloch().z == 1.0
+    assert Spinor.minus().bloch().z == -1.0
     psi = Spinor.superposition(math.sqrt(0.5), 0.25)
     b = psi.bloch()
     assert abs(b.z) < 1e-15
@@ -212,7 +193,8 @@ def test_apply_preserves_norm_and_expectation_matches_matrix():
     assert abs(abs(out.up) ** 2 + abs(out.down) ** 2 - 1.0) < 1e-12
     vec = np.array([psi.up, psi.down])
     want = vec.conj() @ (h.to_matrix() @ vec)
-    assert abs(h.expectation(psi) - want) < 1e-12
+    # <s + v.sigma> = s + v.b for the Bloch vector b
+    assert abs(h.s + h.real_vector().dot(psi.bloch()) - want) < 1e-12
 
 
 def test_max_abs_is_matrix_max():
