@@ -90,8 +90,6 @@ def _initial_coeffs(text: str) -> tuple[float, float]:
     try:
         c = parse_scalar(parts[0])
         phase = parse_scalar(parts[1])
-    except UsageError:
-        raise
     except ValueError as exc:
         raise UsageError(f"bad initial state {text!r}: {exc}") from exc
     if not 0.0 <= c <= 1.0:
@@ -482,7 +480,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         n = min(va.size, vb.size)
         dev = float(np.max(np.abs(va[:n] - vb[:n]))) if n else math.nan
         report[name] = dev
-        sys.stdout.write(f"{name} max_deviation = {dev:.12e}\n")
+    # written once every method has run, so a failing method leaves stdout empty
+    sys.stdout.writelines(f"{name} max_deviation = {dev:.12e}\n" for name, dev in report.items())
 
     if s["out"] is not None:
         fp, close = _open_out(s["out"])

@@ -182,10 +182,11 @@ def _sample_count(t_end: float, sample_dt: float) -> int:
 #
 # An SU(2) element w - i (x, y, z).sigma is stored as the four real arrays
 # (w, x, y, z); closed-form exponentials and products keep it unitary.
-# The engine runs B drives at once. A per-drive value is a float for one
-# drive and a (B, 1) column for several, so a batch adds a leading drive
-# axis that broadcasts along the time axis. Every operation is elementwise,
-# so a drive's numbers do not depend on the batch it runs in.
+# The engine runs B drives at once, in tables of shape (4, B, N + 1) for
+# every B. A per-drive value is a float for one drive and a (B, 1) column
+# for several, which broadcasts along the time axis. A drive is sampled
+# from its converged-period record (_converged_tables). Every operation is
+# elementwise, so a drive's numbers do not depend on the batch it runs in.
 
 _MAGNUS_SUBSTEPS = 64  # substeps per period at the first refinement level
 _MAGNUS_MAX_SUBSTEPS = 1 << 17  # refinement cap; beyond it StiffnessError
@@ -259,23 +260,23 @@ def _unitary(w, x, y, z) -> PauliOperator:
 
 
 def _period_tables(d: tuple, n_sub: int) -> np.ndarray:
-    """Rows (w, x, y, z) of F_i = U(i h) for i = 0..n_sub, h = span / n_sub:
-    shape (4, n_sub + 1) for one drive, (4, B, n_sub + 1) for B drives.
+    """Rows (w, x, y, z) of F_i = U(i h) for i = 0..n_sub, h = span / n_sub,
+    of the B drives d: shape (4, B, n_sub + 1), B = 1 included.
 
     A Hillis-Steele prefix scan multiplies the Magnus steps, later steps
     on the left. The drives share its passes, in groups of at most
     _CHUNK / n_sub drives, so that long tables keep to cache-sized arrays.
     """
-    h = d[5] / n_sub
+    h, b = d[5] / n_sub, np.size(d[5])
     group = max(1, _CHUNK // n_sub)
-    if isinstance(h, np.ndarray) and len(h) > group:
-        groups = (_take(d, slice(lo, lo + group)) for lo in range(0, len(h), group))
+    if b > group:
+        groups = (_take(d, slice(lo, lo + group)) for lo in range(0, b, group))
         return np.concatenate([_period_tables(g, n_sub) for g in groups], axis=1)
-    table = np.empty((4, *np.shape(h)[:1], n_sub + 1))
+    table = np.empty((4, b, n_sub + 1))
     table[..., 0] = 0.0
     table[0, ..., 0] = 1.0
-    table[..., 1:] = _magnus_steps(d, np.arange(n_sub) * h, h)
-    scan = table[..., 1:]
+    table[..., 1:] = _magnus_steps(d, np.arange(n_sub)[None] * h, h)
+    scan = np.squeeze(table[..., 1:])  # 1-D rows for one drive, which numpy runs faster
     k = 1
     while k < n_sub:
         scan[..., k:] = _su2_mul(scan[..., k:], scan[..., :-k])
@@ -284,12 +285,15 @@ def _period_tables(d: tuple, n_sub: int) -> np.ndarray:
 
 
 def _converged_tables(d: tuple, tol: float) -> list:
-    """Per drive, (table, N) at the first substep count N (doubling from
-    _MAGNUS_SUBSTEPS) where U(span) moved by at most tol * span from N / 2,
-    or a StiffnessError: at the first level where that change is not
-    finite (a field too strong for floats), which no finer level mends,
-    or past _MAGNUS_MAX_SUBSTEPS. The drives still refining share each
-    level's scan; a drive stops at its own level.
+    """Per drive, the record (table, N, span, beta, u) at the first substep
+    count N (doubling from _MAGNUS_SUBSTEPS) where U(span) moved by at most
+    tol * span from N / 2, or a StiffnessError: at the first level where
+    that change is not finite (a field too strong for floats), which no
+    finer level mends, or past _MAGNUS_MAX_SUBSTEPS. The drives still
+    refining share each level's scan; a drive stops at its own level. The
+    read-only table (4, N + 1) holds U(i span / N), and U(span) = cos beta
+    - i sin beta u.sigma, beta in [0, pi]. U(span) = +-1 has no axis, and
+    u = 0: its powers are +-1, and no Bloch vector turns.
     """
     todo = list(range(np.size(d[5])))
     out: list = [None] * len(todo)
@@ -306,9 +310,14 @@ def _converged_tables(d: tuple, tol: float) -> list:
             break
         fine = _period_tables(d, n_sub)
         change = np.max(np.abs(fine[..., -1] - coarse[..., -1]), axis=0)
-        done = change <= tol * np.ravel(d[5])
+        spans = np.ravel(d[5])
+        done = change <= tol * spans
+        fine.flags.writeable = False
         for j in np.flatnonzero(done):
-            out[todo[j]] = (fine[:, j] if fine.ndim == 3 else fine, n_sub)
+            w, x, y, z = fine[:, j, -1].tolist()
+            vnorm = math.sqrt(x * x + y * y + z * z)
+            u = Vec3(x / vnorm, y / vnorm, z / vnorm) if vnorm > 0.0 else ZERO_VEC
+            out[todo[j]] = (fine[:, j], n_sub, float(spans[j]), math.atan2(vnorm, w), u)
         broken = ~np.isfinite(change)
         for j in np.flatnonzero(broken):
             out[todo[j]] = StiffnessError(
@@ -358,7 +367,7 @@ def _evolve_drives(
 
     At t = n span + s, <sigma_z> = m(s).b_n: m is the Heisenberg vector of
     U(s), b_n the Bloch vector of U(span)^n psi0, which turns psi0's b0 by
-    2 n beta about the axis u of U(span) = cos beta - i sin beta u.sigma.
+    2 n beta about the axis u of the drive's record (_converged_tables).
     So m.b_n = (K m).(1, cos 2 n beta, sin 2 n beta), with K's rows (b0.u) u,
     b0 - (b0.u) u and u x b0 (Rodrigues). One pass over every drive takes
     the P phases of its lattice, sample n P + j at phase j of period n, and
@@ -371,19 +380,13 @@ def _evolve_drives(
     # a field too strong for floats gives a non-finite table, which never converges
     with np.errstate(over="ignore", invalid="ignore"):
         out = _converged_tables(_columns(rows), tol)
-    live = [k for k, tab in enumerate(out) if not isinstance(tab, StiffnessError)]
+    live = [k for k, rec in enumerate(out) if not isinstance(rec, StiffnessError)]
     if not live:
         return out
     drives, kicks, phases, off = [], [], [], 0
     for k in live:
-        table, n_sub = out[k]
-        span = rows[k][5]
-        w, x, y, z = table[:, -1].tolist()
-        vnorm = math.sqrt(x * x + y * y + z * z)
-        beta, n_end = math.atan2(vnorm, w), math.floor(t_ends[k] / span)
-        # U(span) = +-1 has no axis: its powers are +-1, and b0 does not turn
-        u = Vec3(x / vnorm, y / vnorm, z / vnorm) if vnorm > 0.0 else ZERO_VEC
-        start = initial_gauge_factor(ps[k]).apply(init)
+        _, n_sub, span, beta, u = out[k]
+        start, n_end = initial_gauge_factor(ps[k]).apply(init), math.floor(t_ends[k] / span)
         b0 = start.bloch()
         par = u * u.dot(b0)
         power = _unitary(math.cos(n_end * beta), *(u * math.sin(n_end * beta)).as_tuple())
@@ -396,11 +399,11 @@ def _evolve_drives(
     s = np.empty((len(live), max(ph.size for ph in phases)))
     for row, ph in zip(s, phases):
         row[: ph.size], row[ph.size :] = ph, ph[-1]
-    table = out[live[0]][0] if len(live) == 1 else np.concatenate([out[k][0] for k in live], axis=1)
+    table = np.concatenate([out[k][0] for k in live], axis=1)
     q = _phase_propagators(_columns(drives), table, s)
     m = _heisenberg_z(q)
     for j, (k, (two_beta, turn, psi)) in enumerate(zip(live, kicks)):
-        grid, span, lattice = grids[k], rows[k][5], phases[j].size - 1
+        grid, span, lattice = grids[k], out[k][2], phases[j].size - 1
         values = np.empty(grid.size)
         step = _CHUNK // lattice * lattice if lattice else _CHUNK
         for lo in range(0, grid.size, step):

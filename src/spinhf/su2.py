@@ -65,9 +65,6 @@ class Vec3:
 
 
 ZERO_VEC = Vec3(0.0, 0.0, 0.0)
-EX = Vec3(1.0, 0.0, 0.0)
-EY = Vec3(0.0, 1.0, 0.0)
-EZ = Vec3(0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True, slots=True)

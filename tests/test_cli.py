@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinhf
-from spinhf import __version__, cli
+from spinhf import __version__, cli, numeric
 from spinhf.cli import (
     PRESETS,
     UsageError,
@@ -482,19 +482,35 @@ def test_unbounded_horizon_exits_2_before_out_is_touched(tmp_path):
 
 
 def test_out_of_range_tol_exits_2_before_out_is_touched(tmp_path, capsys):
-    # a tol the Floquet engine rejects is a usage error for every command
-    # that runs it, checked before any point runs or --out is opened
+    # a tol the Floquet engine rejects, or a horizon whose finest substep
+    # t_end / 2^17 is 0, is a usage error for every command that runs it,
+    # checked before any point runs, stdout is written or --out is opened
     out = tmp_path / "out"
+    cases = [(["--tol", tol], f"tol {float(tol)!r} outside supported range (1e-12, 1e-06)")
+             for tol in ("1e-3", "1e-15")]
+    # the last --t-end given wins
+    cases.append((["--t-end", "1e-320"], "t_end must be > 0, and t_end / 2^17 too, got 1e-320"))
     for command in ("evolve", "compare", "sweep"):
-        for tol in ("1e-3", "1e-15"):
+        for flags, message in cases:
             out.write_bytes(b"kept\n")
-            argv = [command, "--r", "1", "--methods", "avg,numeric", "--tol", tol, "--out", str(out)]
+            argv = [command, "--r", "1", "--methods", "avg,numeric", "--out", str(out)]
             argv += ["--grid", "-2", "0", "3"] if command == "sweep" else ["--t-end", "1"]
-            assert main(argv) == 2, argv
-            assert capsys.readouterr().err == (
-                f"error: tol {float(tol)!r} outside supported range (1e-12, 1e-06)\n"
-            ), argv
-            assert out.read_bytes() == b"kept\n", argv
+            assert main(argv + flags) == 2, argv + flags
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv + flags
+            assert out.read_bytes() == b"kept\n", argv + flags
+
+
+def test_compare_numeric_failure_writes_nothing(tmp_path, capsys, monkeypatch):
+    # tol = 1e-12 needs more than 128 substeps per period here: the numeric
+    # method fails after avg has run, and neither stdout nor --out is written
+    monkeypatch.setattr(numeric, "_MAGNUS_MAX_SUBSTEPS", 128)
+    out = tmp_path / "out"
+    out.write_bytes(b"kept\n")
+    argv = ["compare", "--r", "8.65", "--t-end", "1", "--methods", "avg,numeric", "--tol", "1e-12"]
+    assert main(argv + ["--out", str(out)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("numerical failure: Floquet propagator not converged")
+    assert out.read_bytes() == b"kept\n"
 
 
 # Every scalar option of evolve, compare, sweep (the three --grid fields

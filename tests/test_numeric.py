@@ -21,7 +21,7 @@ from spinhf.numeric import (
     resonance_sweep,
     sample_times,
 )
-from spinhf.su2 import Spinor
+from spinhf.su2 import ZERO_VEC, Spinor
 
 R1 = special.bessel_j0_zero(1)
 
@@ -143,7 +143,7 @@ def test_floquet_period_propagator_converges_at_fourth_order():
     p = params(r=R1)
     period = TWO_PI / p.Omega_HF
     drive = numeric._drives([p], [period])
-    ends = [numeric._period_tables(drive, n)[:, -1] for n in (32, 64, 128, 256)]
+    ends = [numeric._period_tables(drive, n)[..., -1] for n in (32, 64, 128, 256)]
     changes = [float(np.max(np.abs(b - a))) for a, b in zip(ends, ends[1:])]
     for coarse, fine in zip(changes, changes[1:]):
         assert 12.0 < coarse / fine < 20.0, changes
@@ -257,6 +257,25 @@ def test_batched_engine_fails_a_drive_alone(monkeypatch):
     batched = numeric._evolve_drives(ps, init, t_ends, dts, 1e-12)
     assert isinstance(batched[3], StiffnessError)
     assert all(_same_run(s, b) for k, (s, b) in enumerate(zip(singles, batched)) if k != 3)
+
+
+def test_converged_record_is_the_same_in_a_batch_and_alone():
+    # each drive's record (table, N, span, beta, u) is built at its own level;
+    # U(span) scaled to unit norm is cos beta - i sin beta u.sigma
+    ps, t_ends, _ = zip(*_batch_drives())
+    for tol in BATCH_TOLS:
+        batch = numeric._converged_tables(numeric._drives(ps, t_ends), tol)
+        for p, t_end, record in zip(ps, t_ends, batch):
+            alone = numeric._converged_tables(numeric._drives([p], [t_end]), tol)[0]
+            table, n_sub, span, beta, u = record
+            assert np.array_equal(table, alone[0]) and record[1:] == alone[1:], (tol, p)
+            assert table.shape == (4, n_sub + 1) and not table.flags.writeable
+            assert span == min(TWO_PI / p.Omega_HF, t_end)
+            end = table[:, -1] / np.linalg.norm(table[:, -1])
+            turn = (math.cos(beta), *(math.sin(beta) * a for a in u.as_tuple()))
+            assert np.max(np.abs(end - turn)) < 1e-15, (tol, p)
+        # the fifth drive has U(T) = 1, which has no axis
+        assert batch[4][3:] == (0.0, ZERO_VEC)
 
 
 def test_lattice_sampling_matches_per_sample_phases(monkeypatch):

@@ -83,7 +83,7 @@ _GONE = {
         "DEFAULT_QUADRATURE", "ToleranceNotMetError", "_MAX_PANELS", "_CUMULATIVE_PANELS",
     ),
     "model": ("hamiltonian_lab",),
-    "su2": ("commutator", "rotate_vec", "NonUnitAxisError", "UNIT_AXIS_TOL", "expect_sz"),
+    "su2": ("commutator", "rotate_vec", "NonUnitAxisError", "UNIT_AXIS_TOL", "expect_sz", "EX", "EY", "EZ"),
     "analytic": ("_quadrature_gamma_pair", "gamma1_at_zero"),
 }
 
