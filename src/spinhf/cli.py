@@ -3,8 +3,11 @@
 Subcommands: constants (zero/coefficient tables), evolve (time traces),
 sweep (resonance curves), compare (drive-phase equivalence check).
 Named presets carry the parameter sets of the reference figures so each
-data file is reproducible with a single command. Output is CSV or JSON
-with fixed %.12e formatting; identical inputs give identical bytes.
+data file is reproducible with a single command. Every output format
+lives here: one CSV writer (_write_csv) gives the evolve and sweep tables
+in fixed %.12e cells, and each command builds its own JSON document;
+identical inputs give identical bytes. Each subcommand takes only the
+flags it reads.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
@@ -113,11 +116,7 @@ def parse_methods(text) -> list[str]:
         raise UsageError(
             f"unknown methods {bad}; choose from {', '.join(_METHOD_ORDER)}"
         )
-    seen = []
-    for n in _METHOD_ORDER:
-        if n in names:
-            seen.append(n)
-    return seen
+    return [n for n in _METHOD_ORDER if n in names]
 
 
 # Preset parameter sets for the reference figures. fig3b is the late
@@ -221,7 +220,18 @@ def _merge_settings(args: argparse.Namespace, subcommand: str) -> dict:
         raise UsageError(f"unknown format {merged['format']!r}")
     if not isinstance(merged["hf_average"], bool):
         raise UsageError(f"hf_average must be true or false, got {merged['hf_average']!r}")
+    try:
+        merged["tol"] = float(merged["tol"])
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
+        raise UsageError(f"tol must be a number, got {merged['tol']!r}") from None
     return merged
+
+
+def _as_count(value) -> Optional[int]:
+    """value as an int if it is one or an integral float, else None (a bool too)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
 
 
 def _build_params(s: dict) -> DriveParams:
@@ -242,15 +252,36 @@ def _check_methods_params(methods: list[str], p: DriveParams):
         )
 
 
-def _open_out(path: Optional[str]):
+def _write_out(path: Optional[str], write, *args) -> None:
+    """write(fp, *args) on stdout (no path, or "-") or on the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        write(sys.stdout, *args)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fp:
+            write(fp, *args)
 
 
-def _json_dump(obj: dict, fp) -> None:
+def _write_json(fp, obj: dict) -> None:
     json.dump(obj, fp, indent=1, sort_keys=False)
     fp.write("\n")
+
+
+def _write_csv(fp, header: list[str], columns: list[np.ndarray]) -> None:
+    """A header line, then one row of %.12e cells per index of the
+    equal-length columns. Rows are stacked and formatted _CSV_CHUNK at a
+    time, one format string per block, so the text held stays bounded. A
+    non-finite value gets an empty cell (a failed sweep point)."""
+    fp.write(",".join(header) + "\n")
+    row = ",".join(["%.12e"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        block = np.stack([c[lo : lo + _CSV_CHUNK] for c in columns], axis=1)
+        if np.isfinite(block).all():
+            fp.write(row * len(block) % tuple(block.ravel().tolist()))
+        else:
+            fp.writelines(
+                ",".join("%.12e" % x if math.isfinite(x) else "" for x in cells) + "\n"
+                for cells in block.tolist()
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +289,8 @@ def _json_dump(obj: dict, fp) -> None:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     s = _merge_settings(args, "constants")
-    zeros = s["zeros"]
-    if isinstance(zeros, float) and zeros.is_integer():
-        zeros = int(zeros)
-    if isinstance(zeros, bool) or not isinstance(zeros, int) or zeros > _MAX_ZEROS:
+    zeros = _as_count(s["zeros"])
+    if zeros is None or zeros > _MAX_ZEROS:
         raise UsageError(f"--zeros must be an integer from 0 to {_MAX_ZEROS}, got {s['zeros']!r}")
     if zeros < 0:
         raise UsageError("--zeros must be >= 0")
@@ -321,9 +350,7 @@ def _evolve_columns(s: dict, p: DriveParams, init: Spinor, methods: list[str]):
     columns: dict[str, np.ndarray] = {}
 
     if "numeric" in methods:
-        series, _ = numeric.evolve_floquet(
-            p, init, t_end, sample_dt=sample_dt, tol=float(s["tol"])
-        )
+        series, _ = numeric.evolve_floquet(p, init, t_end, sample_dt=sample_dt, tol=s["tol"])
         if s["hf_average"]:
             averaged = numeric.hf_average(series, p)
             grid = averaged.times
@@ -353,13 +380,7 @@ def _evolve_columns(s: dict, p: DriveParams, init: Spinor, methods: list[str]):
             continue
         columns[name] = analytic.expect_sz_closed(analytic.MethodId(name), grid, p, init)
 
-    ordered = {}
-    for name in _METHOD_ORDER:
-        if name in columns:
-            ordered[name] = columns[name]
-    if "numeric_avg" in columns:
-        ordered["numeric_avg"] = columns["numeric_avg"]
-    return grid, ordered
+    return grid, {n: columns[n] for n in (*_METHOD_ORDER, "numeric_avg") if n in columns}
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -370,31 +391,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _check_methods_params(methods, p)
     grid, columns = _evolve_columns(s, p, init, methods)
 
-    fp, close = _open_out(s["out"])
-    try:
-        if s["format"] == "csv":
-            fp.write("t," + ",".join(columns) + "\n")
-            cols = (grid, *columns.values())
-            for lo in range(0, grid.size, _CSV_CHUNK):
-                cells = [[f"{x:.12e}" for x in c[lo : lo + _CSV_CHUNK].tolist()] for c in cols]
-                fp.writelines(",".join(row) + "\n" for row in zip(*cells))
-        else:
-            _json_dump(
-                {
-                    "schema": "spinhf/evolve/1",
-                    "version": __version__,
-                    "params": p.to_json_dict(),
-                    "initial": s["initial"],
-                    "tol": float(s["tol"]),
-                    "hf_average": s["hf_average"],
-                    "t": [float(x) for x in grid],
-                    "traces": {k: [float(x) for x in v] for k, v in columns.items()},
-                },
-                fp,
-            )
-    finally:
-        if close:
-            fp.close()
+    if s["format"] == "csv":
+        _write_out(s["out"], _write_csv, ["t", *columns], [grid, *columns.values()])
+    else:
+        _write_out(s["out"], _write_json, {
+            "schema": "spinhf/evolve/1",
+            "version": __version__,
+            "params": p.to_json_dict(),
+            "initial": s["initial"],
+            "tol": s["tol"],
+            "hf_average": s["hf_average"],
+            "t": grid.tolist(),
+            "traces": {k: v.tolist() for k, v in columns.items()},
+        })
     return 0
 
 
@@ -409,34 +418,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if s["grid"] is None:
         raise UsageError("--grid MIN MAX POINTS is required for sweep")
     graw = s["grid"]
-    if len(graw) != 3:
+    if not isinstance(graw, list) or len(graw) != 3:
         raise UsageError("--grid takes exactly MIN MAX POINTS")
     lo = parse_scalar(graw[0])
     hi = parse_scalar(graw[1])
-    npts = int(graw[2])
-    finite = math.isfinite(lo) and math.isfinite(hi)
-    if not finite or npts < 1 or (npts == 1 and hi != lo) or (npts > 1 and hi <= lo):
+    # the flag's words parse with int(); a config count must be integral
+    npts = int(graw[2]) if isinstance(graw[2], str) else _as_count(graw[2])
+    if not (npts is not None and math.isfinite(lo) and math.isfinite(hi)
+            and (hi > lo if npts > 1 else npts == 1 and hi == lo)):
         raise UsageError(f"bad grid spec {graw!r}")
     grid = np.linspace(lo, hi, npts)
     t_end = float(parse_scalar(s["t_end"])) if s["t_end"] is not None else None
     result = numeric.resonance_sweep(
-        p, grid, methods, tol=float(s["tol"]), t_end=t_end, on_error="collect",
+        p, grid, methods, tol=s["tol"], t_end=t_end, on_error="collect",
     )
     for w, name, msg in result.failures:
         sys.stderr.write(f"sweep point omega_par={w:.6g} [{name}] failed: {msg}\n")
 
-    fp, close = _open_out(s["out"])
-    try:
-        if s["format"] == "csv":
-            result.to_csv(fp)
-        else:
-            payload = result.to_json_dict()
-            payload["version"] = __version__
-            payload["tol"] = float(s["tol"])
-            _json_dump(payload, fp)
-    finally:
-        if close:
-            fp.close()
+    grid, amps = result.omega_par_grid, result.amplitudes
+    if s["format"] == "csv":
+        _write_out(s["out"], _write_csv, ["omega_par", *amps], [grid, *amps.values()])
+    else:
+        _write_out(s["out"], _write_json, {
+            "schema": "spinhf/sweep/1",
+            "params": p.to_json_dict(),
+            "omega_par": grid.tolist(),
+            "amplitudes": {
+                k: [x if math.isfinite(x) else None for x in v.tolist()] for k, v in amps.items()
+            },
+            "failures": [list(f) for f in result.failures],
+            "version": __version__,
+            "tol": s["tol"],
+        })
     return 0 if not result.failures else _NUMERIC_EXIT
 
 
@@ -484,29 +497,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sys.stdout.writelines(f"{name} max_deviation = {dev:.12e}\n" for name, dev in report.items())
 
     if s["out"] is not None:
-        fp, close = _open_out(s["out"])
-        try:
-            _json_dump(
-                {
-                    "schema": "spinhf/compare/1",
-                    "version": __version__,
-                    "params": p_a.to_json_dict(),
-                    "initial": init_spec,
-                    "phase_shift": shift,
-                    "hf_average": s["hf_average"],
-                    "max_deviation": report,
-                },
-                fp,
-            )
-        finally:
-            if close:
-                fp.close()
+        _write_out(s["out"], _write_json, {
+            "schema": "spinhf/compare/1",
+            "version": __version__,
+            "params": p_a.to_json_dict(),
+            "initial": init_spec,
+            "phase_shift": shift,
+            "hf_average": s["hf_average"],
+            "max_deviation": report,
+        })
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _add_shared_flags(sp: argparse.ArgumentParser, with_evolution: bool = True):
+def _add_shared_flags(sp: argparse.ArgumentParser):
+    """The flags of evolve, sweep and compare."""
     sp.add_argument("--omega-perp", dest="omega_perp", help="transverse drive strength")
     sp.add_argument("--omega-par", dest="omega_par", help="longitudinal offset")
     sp.add_argument("--Omega-HF", dest="Omega_HF", help="fast-drive frequency (> 0)")
@@ -514,19 +520,21 @@ def _add_shared_flags(sp: argparse.ArgumentParser, with_evolution: bool = True):
     sp.add_argument("--phi-hf", dest="phi_hf", help="fast-drive phase; accepts pi tokens")
     sp.add_argument("--preset", help=f"named parameter set: {', '.join(sorted(PRESETS))}")
     sp.add_argument("--config", help="JSON config file; explicit flags override it")
-    if with_evolution:
-        sp.add_argument("--initial", help="plus | minus | c,phase")
-        sp.add_argument("--methods", help="comma list from exact,avg,ms,numeric")
-        sp.add_argument("--t-end", dest="t_end", help="end of the output window")
-        sp.add_argument("--t-start", dest="t_start", help="start of the output window")
-        sp.add_argument("--sample-dt", dest="sample_dt", help="output sample spacing")
-        sp.add_argument("--tol", type=float, help="integrator tolerance")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format")
-        sp.add_argument(
-            "--hf-average", dest="hf_average", action="store_const", const=True,
-            help="append the fast-period moving average of the numeric trace",
-        )
+    sp.add_argument("--initial", help="plus | minus | c,phase")
+    sp.add_argument("--methods", help="comma list from exact,avg,ms,numeric")
+    sp.add_argument("--t-end", dest="t_end", help="end of the output window")
+    sp.add_argument("--tol", type=float, help="integrator tolerance")
+    sp.add_argument("--out", help="output path (default stdout)")
+
+
+def _add_trace_flags(sp: argparse.ArgumentParser):
+    """The sampling flags of the traces that evolve and compare compute."""
+    sp.add_argument("--t-start", dest="t_start", help="start of the output window")
+    sp.add_argument("--sample-dt", dest="sample_dt", help="output sample spacing")
+    sp.add_argument(
+        "--hf-average", dest="hf_average", action="store_const", const=True,
+        help="append the fast-period moving average of the numeric trace",
+    )
 
 
 _NEGATIVE_NUMBER_RE = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
@@ -566,10 +574,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="time trace per method")
     _add_shared_flags(sp)
+    _add_trace_flags(sp)
+    sp.add_argument("--format", choices=("csv", "json"), help="output format")
     sp.set_defaults(func=cmd_evolve)
 
-    sp = sub.add_parser("sweep", help="amplitude vs omega_par")
+    sp = sub.add_parser(
+        "sweep", help="amplitude vs omega_par",
+        description="Every grid point starts from |+> and takes its omega_par from "
+        "the grid; --initial and --omega-par are accepted and not read.",
+    )
     _add_shared_flags(sp)
+    sp.add_argument("--format", choices=("csv", "json"), help="output format")
     sp.add_argument(
         "--grid", nargs=3, metavar=("MIN", "MAX", "POINTS"),
         help="omega_par grid (MIN and MAX accept pi/rN tokens)",
@@ -579,8 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "compare",
         help="drive-phase shift vs initial-azimuth shift equivalence",
+        description="Prints one max_deviation line per method; --out writes them as JSON.",
     )
     _add_shared_flags(sp)
+    _add_trace_flags(sp)
     sp.set_defaults(func=cmd_compare)
 
     return ap
@@ -596,16 +613,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the interpreter a writable stdout so shutdown does not re-raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _NUMERIC_EXIT
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_EXIT
-    except ValueError as exc:
-        if isinstance(exc, numeric.InsufficientSpanError):
-            sys.stderr.write(f"numerical failure: {exc}\n")
-            return _NUMERIC_EXIT
-        sys.stderr.write(f"error: {exc}\n")
-        return _USAGE_EXIT
-    except (numeric.StiffnessError, numeric.SweepPointError) as exc:
+    except numeric.StiffnessError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return _NUMERIC_EXIT
     except OverflowError as exc:  # parameters whose closed form leaves the float range

@@ -12,6 +12,9 @@ evaluated once. The engine takes a batch of drives: `resonance_sweep`
 runs its whole numeric column through it at once, and `evolve_floquet`
 is the same engine on one drive. Every operation is elementwise, so a
 drive's output does not depend on its batch.
+
+`TimeSeries` and `SweepResult` hold results only; the CLI writes them
+as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ _BATCH_ROWS = 1 << 20  # samples one sweep batch holds (16 MiB of times and valu
 
 class StiffnessError(RuntimeError):
     """The Magnus substep count reached its cap, or the period propagator
-    is not finite; the problem is stiffer than the engine handles."""
+    is not finite. A stiff drive is one cause of the cap; a tol * T below
+    the rounding floor of U(T) is another (tol near 1e-12 at a short HF
+    period or a large r)."""
 
 
 class InsufficientSpanError(ValueError):
@@ -119,28 +124,6 @@ class SweepResult:
             "failures",
             tuple((float(w), str(m), str(msg)) for w, m, msg in self.failures),
         )
-
-    def to_csv(self, fp) -> None:
-        names = list(self.amplitudes)
-        fp.write("omega_par," + ",".join(names) + "\n")
-        for i, w in enumerate(self.omega_par_grid):
-            row = [f"{w:.12e}"]
-            for name in names:
-                a = self.amplitudes[name][i]
-                row.append(f"{a:.12e}" if math.isfinite(a) else "")
-            fp.write(",".join(row) + "\n")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "spinhf/sweep/1",
-            "params": self.params.to_json_dict(),
-            "omega_par": [float(x) for x in self.omega_par_grid],
-            "amplitudes": {
-                k: [float(x) if math.isfinite(x) else None for x in v]
-                for k, v in self.amplitudes.items()
-            },
-            "failures": [list(f) for f in self.failures],
-        }
 
 
 def default_sample_dt(p: DriveParams) -> float:

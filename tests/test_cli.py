@@ -575,3 +575,172 @@ def test_overflowing_closed_form_is_a_numerical_failure(capsys):
     for command, methods in (("evolve", "avg"), ("evolve", "ms"), ("compare", "avg"), ("compare", "ms")):
         assert main([command, "--omega-par=1e300", "--t-end=1", "--methods", methods]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: float overflow")
+
+
+# --- output: one CSV writer, the JSON documents, stdout and --out ------------------
+
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -0.1, 1.2345678901234567e-7]
+
+
+def _old_evolve_rows(cols):
+    # the per-cell route that wrote evolve CSV before the shared writer
+    cells = [[f"{x:.12e}" for x in c.tolist()] for c in cols]
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _old_sweep_rows(cols):
+    # the per-row route that wrote sweep CSV before the shared writer
+    return "".join(
+        ",".join(f"{x:.12e}" if math.isfinite(x) else "" for x in row) + "\n"
+        for row in zip(*(c.tolist() for c in cols))
+    )
+
+
+def test_csv_writer_matches_both_old_routes():
+    import io
+
+    # finite edge values over more than one block, with a non-finite value
+    # only in the second block: the first block takes the one-format path
+    rows = cli._CSV_CHUNK + 7
+    a = np.resize(np.array(_EDGE), rows)
+    b = -a[::-1].copy()
+    buf = io.StringIO()
+    cli._write_csv(buf, ["t", "x"], [a, b])
+    assert buf.getvalue() == "t,x\n" + _old_evolve_rows([a, b])
+    b[-3:] = [math.nan, math.inf, -math.inf]
+    buf = io.StringIO()
+    cli._write_csv(buf, ["omega_par", "x"], [a, b])
+    text = buf.getvalue()
+    assert text == "omega_par,x\n" + _old_sweep_rows([a, b])
+    assert text.endswith(f"{a[-3]:.12e},\n{a[-2]:.12e},\n{a[-1]:.12e},\n")
+    assert "-0.000000000000e+00" in text and "4.940656458412e-324" in text
+
+
+def _sweep_with_edge_values(monkeypatch):
+    # the CLI's sweep returns amplitudes holding every edge value; NaN and
+    # +-inf are not finite and come out as failed cells
+    grid = np.arange(len(_EDGE) + 3, dtype=float)
+    amps = np.array([abs(x) for x in _EDGE] + [math.nan, math.inf, -math.inf])
+    amps[1] = -0.0
+    failures = ((grid[-3], "avg", "boom"),)
+
+    def fake_sweep(p, g, methods, **kw):
+        return numeric.SweepResult(grid, {"avg": amps}, p, failures)
+
+    monkeypatch.setattr(numeric, "resonance_sweep", fake_sweep)
+    return grid, amps
+
+
+def test_sweep_output_marks_failed_points(tmp_path, capsys, monkeypatch):
+    grid, amps = _sweep_with_edge_values(monkeypatch)
+    argv = ["sweep", "--grid", "0", "1", "2", "--methods", "avg"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == "sweep point omega_par=9 [avg] failed: boom\n"
+    assert out == "omega_par,avg\n" + _old_sweep_rows([grid, amps])
+    assert out.splitlines()[-3:] == ["9.000000000000e+00,", "1.000000000000e+01,", "1.100000000000e+01,"]
+    assert main(argv + ["--format", "json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["schema", "params", "omega_par", "amplitudes", "failures", "version", "tol"]
+    assert doc["schema"] == "spinhf/sweep/1" and doc["tol"] == 1e-8
+    assert doc["omega_par"] == grid.tolist()
+    assert doc["amplitudes"]["avg"][-3:] == [None, None, None]
+    assert [math.copysign(1.0, x) for x in doc["amplitudes"]["avg"][:2]] == [1.0, -1.0]
+    assert doc["amplitudes"]["avg"][:-3] == amps[:-3].tolist()
+    assert doc["failures"] == [[9.0, "avg", "boom"]]
+
+
+def test_stdout_and_out_give_identical_bytes(tmp_path, capsys, monkeypatch):
+    # evolve and sweep, CSV and JSON, a failed sweep point included
+    out = tmp_path / "out"
+    evolve = ["evolve", "--omega-par", "-1", "--r", "1", "--t-end", "0.5",
+              "--methods", "avg,ms,numeric", "--hf-average"]
+    sweep = ["sweep", "--r", "0", "--grid", "-1", "0", "2", "--methods", "exact,numeric"]
+    for argv, code in ((evolve, 0), (sweep, 0), (sweep + ["--t-end", "1"], 3)):
+        for fmt in ("csv", "json"):
+            case = argv + ["--format", fmt]
+            assert main(case) == code, case
+            stdout = capsys.readouterr().out
+            assert main(case + ["--out", "-"]) == code, case
+            assert capsys.readouterr().out == stdout, case
+            assert main(case + ["--out", str(out)]) == code, case
+            assert capsys.readouterr().out == ""
+            assert out.read_bytes() == stdout.encode(), case
+
+
+# --- each subcommand takes only the flags it reads --------------------------------
+
+def test_subcommand_option_strings_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    flags = {name: {o for a in sp._actions for o in a.option_strings} for name, sp in sub.choices.items()}
+    shared = {"-h", "--help", "--omega-perp", "--omega-par", "--Omega-HF", "--r", "--phi-hf",
+              "--preset", "--config", "--initial", "--methods", "--t-end", "--tol", "--out"}
+    trace = {"--t-start", "--sample-dt", "--hf-average"}
+    assert flags == {
+        "constants": {"-h", "--help", "--zeros", "--gamma-at", "--config", "--preset"},
+        "evolve": shared | trace | {"--format"},
+        "sweep": shared | {"--format", "--grid"},
+        "compare": shared | trace,
+    }
+
+
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    compare = ["compare", "--t-end", "1", "--methods", "avg"]
+    sweep = ["sweep", "--grid", "-1", "0", "2", "--methods", "avg"]
+    for argv in (
+        compare + ["--format", "json"],
+        sweep + ["--sample-dt", "0.1"],
+        sweep + ["--t-start", "0"],
+        sweep + ["--hf-average"],
+    ):
+        out.write_bytes(b"kept\n")
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--out", str(out)])
+        assert exc_info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+        assert out.read_bytes() == b"kept\n", argv
+
+
+# --- config values checked before --out is opened ---------------------------------
+
+def test_config_grid_is_a_list_of_three_with_an_integral_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "grid.json"
+    for grid, message in (
+        (5, "--grid takes exactly MIN MAX POINTS"),
+        ({"a": 1, "b": 2, "c": 3}, "--grid takes exactly MIN MAX POINTS"),
+        ("-10", "--grid takes exactly MIN MAX POINTS"),
+        ([-1, 0], "--grid takes exactly MIN MAX POINTS"),
+        ([-1, 0, 2.7], "bad grid spec [-1, 0, 2.7]"),
+        ([-1, 0, True], "bad grid spec [-1, 0, True]"),
+        ([-1, 0, None], "bad grid spec [-1, 0, None]"),
+    ):
+        cfg.write_text(json.dumps({"grid": grid, "methods": "avg"}))
+        out.write_bytes(b"kept\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2, grid
+        assert capsys.readouterr() == ("", f"error: {message}\n"), grid
+        assert out.read_bytes() == b"kept\n", grid
+    # an integral float counts as an integer; so does a count given as a word
+    for count in (2.0, 2, "2"):
+        cfg.write_text(json.dumps({"grid": [-1, 0, count], "methods": "avg"}))
+        assert main(["sweep", "--config", str(cfg), "--r", "0"]) == 0, count
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "-1.000000000000e+00,1.000000000000e+00", "0.000000000000e+00,9.000000000000e-01"]
+
+
+def test_config_tol_is_converted_before_out_is_opened(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "tol.json"
+    for tol in ("x", None, [1e-8], 10**400):  # the last is past the float range
+        cfg.write_text(json.dumps({"t_end": 1, "methods": "avg", "tol": tol}))
+        for fmt in ("json", "csv"):
+            out.write_bytes(b"kept\n")
+            argv = ["evolve", "--config", str(cfg), "--format", fmt, "--out", str(out)]
+            assert main(argv) == 2, (tol, fmt)
+            assert capsys.readouterr().err == f"error: tol must be a number, got {tol!r}\n"
+            assert out.read_bytes() == b"kept\n", (tol, fmt)
+    # a number in a string converts as --tol does
+    cfg.write_text(json.dumps({"t_end": 1, "methods": "avg", "tol": "1e-9"}))
+    assert main(["evolve", "--config", str(cfg), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-9

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -498,26 +497,6 @@ def test_sweep_result_validation():
         SweepResult(omega_par_grid=grid, amplitudes={"avg": np.array([0.0, 0.5, 1.5])}, params=p)
     # NaN marks a failed point and is allowed
     SweepResult(omega_par_grid=grid, amplitudes={"avg": np.array([0.0, np.nan, 1.0])}, params=p)
-
-
-def test_sweep_result_csv_marks_gaps():
-    p = params()
-    res = SweepResult(
-        omega_par_grid=np.array([-1.0, 0.0]),
-        amplitudes={"avg": np.array([1.0, 0.25]), "numeric": np.array([np.nan, 0.25])},
-        params=p,
-        failures=((-1.0, "numeric", "boom"),),
-    )
-    buf = io.StringIO()
-    res.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "omega_par,avg,numeric"
-    first = lines[1].split(",")
-    assert first[2] == ""  # gap for the failed point
-    d = res.to_json_dict()
-    assert d["schema"] == "spinhf/sweep/1"
-    assert d["amplitudes"]["numeric"][0] is None
-    assert d["failures"] == [[-1.0, "numeric", "boom"]]
 
 
 # --- sweeps ------------------------------------------------------------------------

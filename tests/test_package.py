@@ -102,6 +102,12 @@ def test_cli_import_leaves_oracles_out():
     assert _fresh(code) == "[] False ['method', 'params', 'times', 'values'] False"
 
 
+def test_sweep_result_holds_no_output_format():
+    # the CLI writes every table; numeric returns data only
+    assert not hasattr(spinhf.SweepResult, "to_csv")
+    assert not hasattr(spinhf.SweepResult, "to_json_dict")
+
+
 def test_gamma_choke_point_takes_a_second_argument():
     # perfbench/tracer.py wraps analytic._gamma_pair and calls it as (r, None)
     from spinhf import analytic
